@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench bench-fleet bench-recovery bench-gate trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench bench-fleet bench-recovery bench-gate trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke
+check: vet fmt build test race fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,13 @@ race:
 # generation) — fast regression coverage for the stream parsers.
 fuzz-smoke:
 	$(GO) test -run=Fuzz ./internal/...
+
+# bench/ is a module of its own (root go build/vet/test ./... skip it),
+# so an internal API change can break it silently: vet and test it, then
+# run every workload once at smoke scale with its replica == primary
+# checks. Everything it writes stays under bench/out/.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && bash run.sh -smoke
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
 # checked-in BENCH_wire.json and BENCH_trace.json baselines.

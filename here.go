@@ -498,7 +498,8 @@ func (p *Protected) PrimaryHealthy() bool { return p.monitor.Healthy() }
 // Totals reports aggregate replication statistics.
 func (p *Protected) Totals() ReplicationTotals { return p.rep.Totals() }
 
-// History returns per-checkpoint statistics.
+// History returns the statistics of the most recent cycles, oldest
+// first (a bounded tail: the last 128).
 func (p *Protected) History() []CheckpointStats { return p.rep.History() }
 
 // DetectFailure polls heartbeats for up to maxWait and returns the

@@ -14,34 +14,6 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing event counter. It is safe for
-// concurrent use; the zero value is ready.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n to the counter. Negative deltas are ignored: a Counter
-// only moves forward.
-func (c *Counter) Add(n int64) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.n += n
-	c.mu.Unlock()
-}
-
-// Value reports the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // Timeline records labeled state transitions against a clock and
 // accumulates the time spent in each state. The replication engine
 // uses one to account protection modes (protected/degraded/resyncing),

@@ -131,7 +131,6 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 	closeTransport(p)
 	p.rep = nil
 	p.mon = nil
-	p.secondary = nil
 	p.secondaries = nil
 
 	if depHost, dep, ok := bestDeposit(p.Name, live); ok {

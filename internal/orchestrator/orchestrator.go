@@ -265,10 +265,8 @@ type Protection struct {
 	pm      *period.Manager
 	tr      *trace.Tracer
 	primary hypervisor.Hypervisor
-	// secondary is the leg-0 replica host (nil while unprotected);
-	// secondaries is the full chain in leg order. Both are maintained
-	// together — single-leg protections see identical values.
-	secondary   hypervisor.Hypervisor
+	// secondaries is the replica chain in leg order (empty while
+	// unprotected); leg 0 is "the secondary" of a pairwise protection.
 	secondaries []*hypervisor.Host
 	// want is the requested chain width; the orchestrator re-plans
 	// toward it after leg losses. quorum is the configured ack quorum.
@@ -311,7 +309,10 @@ func (p *Protection) Primary() hypervisor.Hypervisor {
 func (p *Protection) Secondary() hypervisor.Hypervisor {
 	p.m.mu.Lock()
 	defer p.m.mu.Unlock()
-	return p.secondary
+	if len(p.secondaries) == 0 {
+		return nil
+	}
+	return p.secondaries[0]
 }
 
 // Secondaries returns every replica host of the chain in leg order
@@ -919,7 +920,6 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	prot.pm = pm
 	prot.primary = primary
 	prot.secondaries = append([]*hypervisor.Host(nil), secondaries...)
-	prot.secondary = secondaries[0]
 	prot.transport = dialed
 	prot.acked = rep.Totals().Checkpoints
 	// Park the replica-side session state on every secondary host so a
@@ -1057,7 +1057,6 @@ type protSnap struct {
 	st          Status // host info and Running left unfilled
 	vm          *hypervisor.VM
 	primary     hypervisor.Hypervisor
-	secondary   hypervisor.Hypervisor
 	secondaries []hypervisor.Hypervisor
 	transport   statusReporter // nil unless a dialed network client
 }
@@ -1091,12 +1090,12 @@ func (ps *protSnap) materialize() Status {
 	if ps.primary != nil {
 		st.Primary = hostInfo(ps.primary)
 	}
-	if ps.secondary != nil {
-		info := hostInfo(ps.secondary)
-		st.Secondary = &info
-	}
 	for _, s := range ps.secondaries {
 		st.Secondaries = append(st.Secondaries, hostInfo(s))
+	}
+	if len(st.Secondaries) > 0 {
+		leg0 := st.Secondaries[0]
+		st.Secondary = &leg0
 	}
 	return st
 }
@@ -1104,11 +1103,7 @@ func (ps *protSnap) materialize() Status {
 // snapLocked captures one protection's snapshot entry. Caller holds
 // m.mu.
 func (m *Manager) snapLocked(p *Protection) *protSnap {
-	ps := &protSnap{
-		vm:        p.vm,
-		primary:   p.primary,
-		secondary: p.secondary,
-	}
+	ps := &protSnap{vm: p.vm, primary: p.primary}
 	for _, s := range p.secondaries {
 		ps.secondaries = append(ps.secondaries, s)
 	}
@@ -1272,7 +1267,6 @@ func (m *Manager) Unprotect(name string) error {
 	p.rep = nil
 	p.mon = nil
 	p.pm = nil
-	p.secondary = nil
 	p.secondaries = nil
 	m.record(EventRemoved, name, detail)
 	return m.journalAppend(journal.Record{Kind: journal.RecUnprotect, VM: name})
@@ -1296,7 +1290,7 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	if p.lost {
 		return failover.Result{}, ErrServiceLost
 	}
-	if p.rep == nil || p.secondary == nil {
+	if p.rep == nil || len(p.secondaries) == 0 {
 		return failover.Result{}, fmt.Errorf("%w: %q runs unprotected", ErrNoReplica, name)
 	}
 	// Activate the freshest replica: the live, seeded leg that
@@ -1486,7 +1480,10 @@ func (m *Manager) tickOne(p *Protection) error {
 		switch {
 		case errors.Is(err, replication.ErrPrimaryDown):
 			return m.handleFailure(p)
-		case errors.Is(err, replication.ErrSecondaryDown):
+		case errors.Is(err, replication.ErrSecondaryDown),
+			errors.Is(err, replication.ErrReplicaDiverged):
+			// No replica left that a delta could build on: re-pair and
+			// re-seed from scratch.
 			m.dropSecondaries(p)
 			return m.tryReprotect(p)
 		default:
@@ -1592,7 +1589,6 @@ func (m *Manager) topUpLegs(p *Protection) error {
 		m.record(EventReprotected, p.Name,
 			fmt.Sprintf("%s (%s) joins the chain", h.HostName(), h.Product()))
 	}
-	p.secondary = p.secondaries[0]
 	return m.journalAppend(journal.Record{
 		Kind: journal.RecReprotect, VM: p.Name,
 		Secondary:   firstName(p.secondaries),
@@ -1610,11 +1606,6 @@ func (m *Manager) forgetSecondary(p *Protection, name string) {
 		}
 	}
 	p.secondaries = out
-	if len(out) > 0 {
-		p.secondary = out[0]
-	} else {
-		p.secondary = nil
-	}
 }
 
 // retireChain clears a protection's replication chain after its
@@ -1627,7 +1618,6 @@ func (m *Manager) retireChain(p *Protection) {
 		h.DropReplica(p.Name)
 	}
 	closeTransport(p)
-	p.secondary = nil
 	p.secondaries = nil
 	p.rep = nil
 	p.mon = nil
@@ -1667,7 +1657,6 @@ func (m *Manager) dropSecondaries(p *Protection) {
 	}
 	m.record(EventSecondaryLost, p.Name, detail)
 	closeTransport(p)
-	p.secondary = nil
 	p.secondaries = nil
 	p.rep = nil
 	p.mon = nil

@@ -22,7 +22,9 @@ import (
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/memory"
+	"github.com/here-ft/here/internal/replication"
 	"github.com/here-ft/here/internal/trace"
+	"github.com/here-ft/here/internal/transport"
 	"github.com/here-ft/here/internal/vclock"
 	"github.com/here-ft/here/internal/xen"
 )
@@ -36,6 +38,10 @@ type crashHarness struct {
 	hosts []*hypervisor.Host
 	store *journal.Store
 	m     *Manager
+	// peer, when set, makes every lifetime replicate over loopback TCP
+	// to this address; kill closes the clients it dialed.
+	peer    string
+	clients []*transport.Client
 }
 
 func newCrashHarness(t *testing.T, kinds string) *crashHarness {
@@ -72,7 +78,19 @@ func (h *crashHarness) boot() journal.Report {
 	if err != nil {
 		h.t.Fatalf("journal.Open: %v", err)
 	}
-	m, err := New(Config{Clock: h.clk, Journal: store})
+	cfg := Config{Clock: h.clk, Journal: store}
+	if h.peer != "" {
+		cfg.DialTransport = func(name string, memBytes, generation uint64) (replication.Transport, error) {
+			c, err := transport.Dial(transport.ClientConfig{
+				Addr: h.peer, Protection: name, MemBytes: memBytes, Generation: generation,
+			})
+			if err == nil {
+				h.clients = append(h.clients, c)
+			}
+			return c, err
+		}
+	}
+	m, err := New(cfg)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -89,6 +107,10 @@ func (h *crashHarness) boot() journal.Report {
 // the next Open replays the write-ahead log.
 func (h *crashHarness) kill() {
 	h.t.Helper()
+	for _, c := range h.clients {
+		_ = c.Close() // kill -9: nothing to do about a close error
+	}
+	h.clients = nil
 	if err := h.store.Close(); err != nil {
 		h.t.Fatal(err)
 	}
@@ -428,6 +450,81 @@ func TestRestartDestroysStaleCopyAfterInterruptedForcedFailover(t *testing.T) {
 	}
 }
 
+// TestRestartAfterForcedFailoverBeforeFirstAck: over TCP, re-protection
+// after a forced failover seeds the peer, and a seed clears the peer's
+// acked marker. A daemon that dies before the new generation's first
+// acknowledged checkpoint resumes from the deposit, finds the peer
+// holding nothing a delta could build on (ErrReplicaDiverged), and must
+// fall back to a full re-seed instead of staying degraded forever.
+func TestRestartAfterForcedFailoverBeforeFirstAck(t *testing.T) {
+	srv := transport.NewServer(transport.ServerConfig{})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	h := newCrashHarness(t, "xk")
+	h.kill() // nothing protected yet: start over, replicating over TCP
+	h.peer = srv.Addr()
+	h.boot()
+	t.Cleanup(func() {
+		if h.store != nil {
+			h.kill()
+		}
+	})
+	if _, err := h.m.Protect(VMSpec{
+		Name: "vm", MemoryBytes: 256 * memory.PageSize, VCPUs: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h.ticks(3)
+	st0 := h.status("vm")
+
+	if _, err := h.m.Failover("vm"); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.status("vm"); st.Mode != ModeProtected || st.Epoch != 0 {
+		t.Fatalf("after the forced failover: mode %s at epoch %d, want re-protected with nothing acked yet", st.Mode, st.Epoch)
+	}
+	h.kill() // before the new generation's first ack
+	_, rec := h.restart()
+	if rec.Resumed != 1 {
+		t.Fatalf("recover report %+v, want the protection resumed from its deposit", rec)
+	}
+
+	// The resumed replicator's first cycle finds the peer diverged; the
+	// round must answer with a re-seed, not an error every tick.
+	var tickErr error
+	for i := 0; i < 3; i++ {
+		if tickErr = h.m.Tick(); tickErr == nil {
+			break
+		}
+	}
+	st := h.status("vm")
+	if tickErr != nil || st.Mode != ModeProtected {
+		t.Fatalf("mode %s after the restart (last tick error: %v), want protected again", st.Mode, tickErr)
+	}
+	if st.Generation != st0.Generation+1 {
+		t.Fatalf("generation %d after restart, want %d", st.Generation, st0.Generation+1)
+	}
+	h.ticks(2)
+	if got := h.status("vm"); got.Epoch <= st.Epoch || got.Mode != ModeProtected {
+		t.Fatalf("epoch %d → %d in mode %s, want checkpoints flowing again", st.Epoch, got.Epoch, got.Mode)
+	}
+	if n := vmInstances(h.hosts, "vm"); n != 1 {
+		t.Fatalf("%d live copies of the VM, want 1", n)
+	}
+	// The peer replica is whole again: it equals the guest page by page.
+	p := h.m.prots["vm"]
+	peerMem, _, _, ok := srv.Replica("vm")
+	if !ok {
+		t.Fatal("peer holds no replica")
+	}
+	guest := p.vm.Memory()
+	if d1, d2 := guest.DiffPages(peerMem), peerMem.DiffPages(guest); len(d1)+len(d2) > 0 {
+		t.Fatalf("peer replica differs from the guest: %v / %v", d1, d2)
+	}
+}
+
 func TestSplitBrainGuardHoldsAfterRestart(t *testing.T) {
 	h := newCrashHarness(t, "xk")
 	if _, err := h.m.Protect(VMSpec{
@@ -516,7 +613,7 @@ func TestRestartChaos(t *testing.T) {
 			// Kill mid-checkpoint: the transfer fails, the cycle rolls
 			// back re-marking the dirty pages, then the daemon dies.
 			p := h.m.prots[victim]
-			link := h.m.links[p.primary.HostName()+"->"+p.secondary.HostName()]
+			link := h.m.links[p.primary.HostName()+"->"+p.secondaries[0].HostName()]
 			link.SetDown(true)
 			_ = h.m.Tick() // the victim's checkpoint rolls back
 			link.SetDown(false)

@@ -10,7 +10,6 @@ package replication
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"github.com/here-ft/here/internal/hypervisor"
@@ -50,7 +49,7 @@ type leg struct {
 	// yet. Every checkpoint merges the global dirty snapshot into every
 	// live leg's pending; an acknowledging leg clears it, a missing leg
 	// accumulates it — the natural lagging-leg catch-up.
-	pending map[memory.PageNum]struct{}
+	pending *memory.DirtyBitmap
 	// ackedSeq is the epoch watermark: checkpoints this replica applied.
 	ackedSeq uint64
 	// ackedAt is the Replicator cycle counter at the leg's last
@@ -92,13 +91,14 @@ type LegStatus struct {
 // newLeg builds the state for one secondary.
 func newLeg(sec Secondary, memBytes uint64, compression bool) *leg {
 	sender, _ := sec.Transport.(CheckpointSender)
+	mem := memory.NewGuestMemory(memBytes)
 	return &leg{
 		dst:     sec.Host,
 		tp:      sec.Transport,
 		sender:  sender,
 		enc:     wire.NewEncoder(compression),
-		mem:     memory.NewGuestMemory(memBytes),
-		pending: make(map[memory.PageNum]struct{}),
+		mem:     mem,
+		pending: memory.NewDirtyBitmap(mem.NumPages()),
 	}
 }
 
@@ -108,7 +108,7 @@ func newLeg(sec Secondary, memBytes uint64, compression bool) *leg {
 func (r *Replicator) missedEpoch(l *leg, dirty []memory.PageNum) {
 	r.mu.Lock()
 	for _, p := range dirty {
-		l.pending[p] = struct{}{}
+		l.pending.Set(p)
 	}
 	r.mu.Unlock()
 }
@@ -134,76 +134,19 @@ func (r *Replicator) markLegDead(l *leg, index int, epochID int64, cause error) 
 // primary's next epoch, and the dirty-page backlog it is owed. One
 // series per (leg index, host) label set.
 func (r *Replicator) updateLegTelemetry() {
-	if r.reg == nil {
-		return
-	}
-	type legSample struct {
-		idx     int
-		host    string
-		lag     uint64
-		pending int
-	}
 	r.mu.Lock()
-	next := r.seq
-	samples := make([]legSample, 0, len(r.legs))
+	defer r.mu.Unlock()
 	for i, l := range r.legs {
 		var lag uint64
-		if next > l.ackedSeq {
-			lag = next - l.ackedSeq
+		if r.seq > l.ackedSeq {
+			lag = r.seq - l.ackedSeq
 		}
-		samples = append(samples, legSample{i, l.dst.HostName(), lag, len(l.pending)})
+		idx, host := strconv.Itoa(i), l.dst.HostName()
+		r.reg.Gauge(trace.Labeled("here_chain_leg_lag_epochs", "leg", idx, "host", host),
+			"epochs the leg's replica trails the primary's next epoch").Set(float64(lag))
+		r.reg.Gauge(trace.Labeled("here_chain_leg_pending_pages", "leg", idx, "host", host),
+			"dirty-page backlog the leg has not acknowledged").Set(float64(l.pending.Count()))
 	}
-	r.mu.Unlock()
-	for _, s := range samples {
-		idx := strconv.Itoa(s.idx)
-		r.reg.Gauge(trace.Labeled("here_chain_leg_lag_epochs", "leg", idx, "host", s.host),
-			"epochs the leg's replica trails the primary's next epoch").Set(float64(s.lag))
-		r.reg.Gauge(trace.Labeled("here_chain_leg_pending_pages", "leg", idx, "host", s.host),
-			"dirty-page backlog the leg has not acknowledged").Set(float64(s.pending))
-	}
-}
-
-// pendingPages returns the leg's backlog as a sorted page list (the
-// codec shards by region, which assumes ordered input).
-func (l *leg) pendingPages() []memory.PageNum {
-	out := make([]memory.PageNum, 0, len(l.pending))
-	for p := range l.pending {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// NewChain prepares replication of vm onto a chain of secondaries
-// (paper §8.2 generalized: 1 primary + N replicas on distinct
-// hypervisor flavors). The protected VM must have been booted with the
-// CPUID feature intersection of the whole chain
-// (translate.CompatibleFeaturesAll). Chains of more than one leg
-// require simulated transports: a CheckpointSender (real TCP peer)
-// reconciles acked epochs pairwise and cannot fan out.
-func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicator, error) {
-	if vm == nil {
-		return nil, errors.New("replication: nil vm")
-	}
-	if len(secondaries) == 0 {
-		return nil, errors.New("replication: chain needs at least one secondary")
-	}
-	for i, sec := range secondaries {
-		if sec.Host == nil || sec.Transport == nil {
-			return nil, fmt.Errorf("replication: chain leg %d: nil host or transport", i)
-		}
-		if feats := vm.MachineState().Features; !feats.IsSubsetOf(sec.Host.Features()) {
-			return nil, fmt.Errorf("%w on %s: boot the VM with translate.CompatibleFeaturesAll",
-				translate.ErrFeatureMismatch, sec.Host.Product())
-		}
-		if _, isSender := sec.Transport.(CheckpointSender); isSender && len(secondaries) > 1 {
-			return nil, errors.New("replication: multi-leg chains require simulated transports (CheckpointSender fan-out unsupported)")
-		}
-	}
-	if cfg.Resume != nil && len(secondaries) > 1 {
-		return nil, errors.New("replication: resume re-attaches a single leg; add further legs with AddLeg")
-	}
-	return newReplicator(vm, secondaries, cfg)
 }
 
 // Quorum reports the effective acknowledgement quorum for n live legs:
@@ -257,7 +200,7 @@ func (r *Replicator) Legs() []LegStatus {
 			Host:         l.dst.HostName(),
 			Product:      l.dst.Product(),
 			AckedEpoch:   l.ackedSeq,
-			PendingPages: len(l.pending),
+			PendingPages: l.pending.Count(),
 			NeedsSeed:    l.needsSeed,
 			Dead:         l.dead,
 			DeadCause:    l.deadCause,
@@ -314,7 +257,12 @@ func (r *Replicator) ReplicaImageAt(i int) (image []byte, mem *memory.GuestMemor
 	return r.legs[i].lastImage, r.legs[i].mem, nil
 }
 
-// HandoffAt exports leg i's resume state (see Handoff).
+// HandoffAt exports the replica-side state of leg i a successor
+// replicator needs to resume protection without a full re-seed: the
+// replica memory, a copy of the last acknowledged state image, and its
+// sequence number. The control plane parks it on the secondary host
+// after each acknowledged checkpoint (see hypervisor.ReplicaDeposit)
+// and feeds it back through Config.Resume after a restart.
 func (r *Replicator) HandoffAt(i int) (*ResumeState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

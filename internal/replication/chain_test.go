@@ -346,21 +346,10 @@ func TestChainFencedLegDiesReplicationContinues(t *testing.T) {
 	}
 }
 
-// senderLink is a fake real-network transport: it implements
-// CheckpointSender, which multi-leg chains must refuse (pairwise ack
-// reconciliation cannot fan out).
-type senderLink struct {
-	*simnet.Link
-}
-
-func (s *senderLink) SendCheckpoint(seq uint64, stream []byte) error { return nil }
-func (s *senderLink) SendSeed(round uint64, stream []byte) error     { return nil }
-func (s *senderLink) PeerAcked() (uint64, bool)                      { return 0, false }
-
 func TestChainRefusesSenderFanOut(t *testing.T) {
 	r := newChainRig(t, 64*memory.PageSize)
 	legs := []replication.Secondary{
-		{Host: r.secA, Transport: &senderLink{Link: r.linkA}},
+		{Host: r.secA, Transport: &fakeSender{Link: r.linkA}},
 		{Host: r.secB, Transport: r.linkB},
 	}
 	if _, err := replication.NewChain(r.vm, legs, replication.Config{
@@ -377,7 +366,7 @@ func TestChainRefusesSenderFanOut(t *testing.T) {
 	}
 	// AddLeg onto a sender-backed single-leg chain is refused too.
 	rep, err := replication.NewChain(r.vm,
-		[]replication.Secondary{{Host: r.secA, Transport: &senderLink{Link: r.linkA}}},
+		[]replication.Secondary{{Host: r.secA, Transport: &fakeSender{Link: r.linkA}}},
 		replication.Config{Engine: replication.EngineHERE, Period: time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -260,7 +260,7 @@ type remoteStageSource interface {
 // in the last acknowledgement into the epoch's trace as remote-* spans,
 // giving EpochBreakdown its cross-node view: wire transit falls out as
 // the transfer span minus these stages.
-func (r *Replicator) recordRemoteStages(sender CheckpointSender, epochID int64, start time.Time, engine string) {
+func (r *Replicator) recordRemoteStages(sender CheckpointSender, epochID int64, start time.Time) {
 	src, ok := sender.(remoteStageSource)
 	if !ok || !r.tr.Enabled() {
 		return
@@ -269,18 +269,9 @@ func (r *Replicator) recordRemoteStages(sender CheckpointSender, epochID int64, 
 	if !ok {
 		return
 	}
-	for _, s := range [...]struct {
-		kind trace.Kind
-		dur  time.Duration
-	}{
-		{trace.SpanRemoteRecv, recv},
-		{trace.SpanRemoteDecode, dec},
-		{trace.SpanRemoteApply, app},
-		{trace.SpanRemoteAck, ack},
-	} {
-		r.tr.Record(trace.Event{
-			Kind: s.kind, Epoch: epochID, Start: start, Dur: s.dur, Engine: engine,
-		})
+	kinds := [...]trace.Kind{trace.SpanRemoteRecv, trace.SpanRemoteDecode, trace.SpanRemoteApply, trace.SpanRemoteAck}
+	for i, dur := range [...]time.Duration{recv, dec, app, ack} {
+		r.tr.Record(trace.Event{Kind: kinds[i], Epoch: epochID, Start: start, Dur: dur, Engine: r.engine()})
 	}
 }
 
@@ -533,14 +524,13 @@ type Replicator struct {
 	// cycles counts checkpoint attempts (committed or not); each leg
 	// stamps it on acknowledgement, giving failover a total freshness
 	// order even across partially acknowledged epochs.
-	cycles     uint64
-	legs       []*leg
-	disk       *blockdev.ReplicatedDisk
-	iob        *devices.IOBuffer
-	lastEpoch  devices.Epoch
-	totals     Totals
-	history    []CheckpointStats
-	runStarted time.Time
+	cycles  uint64
+	legs    []*leg
+	disk    *blockdev.ReplicatedDisk
+	iob     *devices.IOBuffer
+	totals  Totals
+	history []CheckpointStats // ring of the last historyCap cycles
+	oldest  int               // index of the oldest entry once the ring is full
 }
 
 // New prepares replication of vm onto the single secondary dst over
@@ -549,17 +539,38 @@ type Replicator struct {
 // it with translate.CompatibleFeatures for heterogeneous pairs. For
 // 1+N chains use NewChain.
 func New(vm *hypervisor.VM, dst hypervisor.Hypervisor, cfg Config) (*Replicator, error) {
-	if vm == nil || dst == nil {
-		return nil, errors.New("replication: nil vm or destination")
-	}
-	if cfg.Transport == nil {
-		return nil, errors.New("replication: nil transport")
-	}
 	return NewChain(vm, []Secondary{{Host: dst, Transport: cfg.Transport}}, cfg)
 }
 
-// newReplicator is the shared constructor behind New and NewChain.
-func newReplicator(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicator, error) {
+// NewChain prepares replication of vm onto a chain of secondaries
+// (paper §8.2 generalized: 1 primary + N replicas on distinct
+// hypervisor flavors). The protected VM must have been booted with the
+// CPUID feature intersection of the whole chain
+// (translate.CompatibleFeaturesAll). Chains of more than one leg
+// require simulated transports: a CheckpointSender (real TCP peer)
+// reconciles acked epochs pairwise and cannot fan out.
+func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicator, error) {
+	if vm == nil {
+		return nil, errors.New("replication: nil vm")
+	}
+	if len(secondaries) == 0 {
+		return nil, errors.New("replication: chain needs at least one secondary")
+	}
+	for i, sec := range secondaries {
+		if sec.Host == nil || sec.Transport == nil {
+			return nil, fmt.Errorf("replication: chain leg %d: nil host or transport", i)
+		}
+		if feats := vm.MachineState().Features; !feats.IsSubsetOf(sec.Host.Features()) {
+			return nil, fmt.Errorf("%w on %s: boot the VM with translate.CompatibleFeaturesAll",
+				translate.ErrFeatureMismatch, sec.Host.Product())
+		}
+		if _, isSender := sec.Transport.(CheckpointSender); isSender && len(secondaries) > 1 {
+			return nil, errors.New("replication: multi-leg chains require simulated transports (CheckpointSender fan-out unsupported)")
+		}
+	}
+	if cfg.Resume != nil && len(secondaries) > 1 {
+		return nil, errors.New("replication: resume re-attaches a single leg; add further legs with AddLeg")
+	}
 	if cfg.Engine != EngineRemus && cfg.Engine != EngineHERE {
 		return nil, fmt.Errorf("replication: unknown engine %d", int(cfg.Engine))
 	}
@@ -649,20 +660,8 @@ func newReplicator(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Rep
 		r.totals.Checkpoints = res.Seq
 		r.state = StateDegraded
 		r.timeline = metrics.NewTimeline(vm.Hypervisor().Clock().Now(), StateDegraded.String())
-		r.runStarted = vm.Hypervisor().Clock().Now()
 	}
 	return r, nil
-}
-
-// Handoff exports the replica-side state a successor replicator needs
-// to resume protection without a full re-seed: the replica memory, a
-// copy of the last acknowledged state image, and its sequence number.
-// The control plane parks it on the secondary host after each
-// acknowledged checkpoint (see hypervisor.ReplicaDeposit) and feeds it
-// back through Config.Resume after a restart. Handoff describes leg 0;
-// use HandoffAt for the other legs of a chain.
-func (r *Replicator) Handoff() (*ResumeState, error) {
-	return r.HandoffAt(0)
 }
 
 // State reports the current protection mode.
@@ -694,9 +693,6 @@ func (r *Replicator) setState(s State) {
 // secondary; further checkpoints and activations are refused. Called
 // by failover.Activate.
 func (r *Replicator) MarkFailedOver() { r.setState(StateFailedOver) }
-
-// Retry reports the normalized retry policy in effect.
-func (r *Replicator) Retry() RetryPolicy { return r.retry }
 
 // Tracer returns the tracer the replicator records into (nil when
 // tracing is disabled). Failover activation records its phases here.
@@ -763,17 +759,6 @@ func (r *Replicator) Disk() *blockdev.ReplicatedDisk {
 // Primary returns the protected VM.
 func (r *Replicator) Primary() *hypervisor.VM { return r.primary }
 
-// Destination returns leg 0's secondary hypervisor — with a single
-// leg, the secondary.
-func (r *Replicator) Destination() hypervisor.Hypervisor {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.legs[0].dst
-}
-
-// Engine reports the configured engine.
-func (r *Replicator) Engine() Engine { return r.cfg.Engine }
-
 // Period reports the interval the next cycle will run for.
 func (r *Replicator) Period() time.Duration {
 	if r.cfg.PeriodManager != nil {
@@ -807,6 +792,10 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	if mcfg.Workload == nil {
 		mcfg.Workload = r.cfg.Workload
 	}
+	// The migration's stop-and-copy round leaves the guest paused, also
+	// when it fails; whatever happens from here on, Seed returns with
+	// the guest running.
+	defer r.primary.Resume()
 	res, err := migration.Migrate(r.primary, first.mem, mcfg)
 	if err != nil {
 		return res, fmt.Errorf("replication: seeding: %w", err)
@@ -821,10 +810,9 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	r.totals.BytesSent += res.BytesSent
 	r.totals.Wire.Add(res.Wire)
 	r.mu.Unlock()
-	// The migration leaves the VM paused on its final stop-and-copy
-	// round; every further leg full-copies the same consistent snapshot
-	// before the VM resumes, so the chain starts at full width from one
-	// state. A failed extra seed fails the whole Seed.
+	// Every further leg full-copies the same consistent snapshot before
+	// the VM resumes, so the chain starts at full width from one state.
+	// A failed extra seed fails the whole Seed.
 	for _, l := range legs[1:] {
 		if err := r.seedLeg(l, res.FinalState); err != nil {
 			return res, err
@@ -832,9 +820,7 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	}
 	r.mu.Lock()
 	r.seeded = true
-	r.runStarted = r.src.Clock().Now()
 	r.mu.Unlock()
-	r.primary.Resume()
 	return res, nil
 }
 
@@ -862,7 +848,7 @@ func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 	r.mu.Lock()
 	l.lastImage = image
 	l.needsSeed = false
-	clear(l.pending)
+	l.pending.Snapshot() // read and reset: the backlog is settled
 	r.totals.PagesSent += int64(len(pages))
 	r.totals.BytesSent += bytes
 	r.mu.Unlock()
@@ -987,31 +973,19 @@ func (r *Replicator) RunCycle() (CheckpointStats, error) {
 		// outage lasts the guest just keeps running unprotected, the
 		// dirty bitmap accumulating the delta for the eventual resync.
 		if r.pathsDown() {
-			return r.degradedCycle(T), nil
+			r.mu.Lock()
+			seq := r.seq // the seq the eventual resync checkpoint will take
+			r.mu.Unlock()
+			st := CheckpointStats{
+				Seq: seq, DirtyPages: r.primary.Tracker().Bitmap().Count(),
+				RunPeriod: T, NextPeriod: r.Period(), Mode: StateDegraded,
+			}
+			r.remember(st)
+			return st, nil
 		}
 		return r.checkpoint(T, true)
 	}
 	return r.checkpoint(T, false)
-}
-
-// degradedCycle records one interval ridden out in degraded mode: no
-// pause, no transfer, protection still suspended.
-func (r *Replicator) degradedCycle(runPeriod time.Duration) CheckpointStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := CheckpointStats{
-		Seq:        r.seq, // the seq the eventual resync checkpoint will take
-		Epoch:      devices.Epoch(0),
-		DirtyPages: r.primary.Tracker().Bitmap().Count(),
-		RunPeriod:  runPeriod,
-		NextPeriod: r.cfg.Period,
-		Mode:       StateDegraded,
-	}
-	if r.cfg.PeriodManager != nil {
-		st.NextPeriod = r.cfg.PeriodManager.Period()
-	}
-	r.history = append(r.history, st)
-	return st
 }
 
 // RunFor executes replication cycles until at least d of simulated
@@ -1030,553 +1004,6 @@ func (r *Replicator) RunFor(d time.Duration) ([]CheckpointStats, error) {
 	return out, nil
 }
 
-// shipVia sends bytes over one leg's replication link, retrying
-// transient failures with exponential backoff + jitter per the retry
-// policy. It returns the last transfer error once the budget is
-// exhausted. epoch scopes the retry events to the checkpoint being
-// shipped.
-func (r *Replicator) shipVia(tp Transport, epoch int64, bytes int64, streams int) error {
-	clock := r.src.Clock()
-	backoff := r.retry.InitialBackoff
-	for attempt := 1; ; attempt++ {
-		_, err := tp.Transfer(bytes, streams)
-		if err == nil {
-			return nil
-		}
-		if attempt >= r.retry.MaxAttempts || isPermanentErr(err) {
-			return err
-		}
-		r.retries.Inc()
-		r.tr.Event(trace.EventRetry, epoch, trace.Event{
-			Engine: r.cfg.Engine.String(), Bytes: bytes, Note: err.Error(),
-		})
-		clock.Sleep(r.jittered(backoff))
-		backoff = time.Duration(float64(backoff) * r.retry.Multiplier)
-		if backoff > r.retry.MaxBackoff {
-			backoff = r.retry.MaxBackoff
-		}
-	}
-}
-
-// jittered randomizes d by ±Jitter from the seeded RNG.
-func (r *Replicator) jittered(d time.Duration) time.Duration {
-	if r.retry.Jitter <= 0 {
-		return d
-	}
-	r.mu.Lock()
-	f := 1 + r.retry.Jitter*(2*r.rng.Float64()-1)
-	r.mu.Unlock()
-	return time.Duration(float64(d) * f)
-}
-
-// dirtyRegions counts the distinct 2 MiB regions the dirty set spans —
-// the parallelism bound for a region-sharded transfer.
-func dirtyRegions(pages []memory.PageNum) int {
-	seen := make(map[int]struct{})
-	for _, p := range pages {
-		seen[memory.RegionOf(p)] = struct{}{}
-	}
-	return len(seen)
-}
-
-// rollback abandons an in-flight checkpoint that missed its ack
-// quorum. The replicas stay on their last acknowledged epochs (legs
-// that did acknowledge are simply ahead, which is safe — their extra
-// state's outputs remain buffered); the sealed I/O and disk-journal
-// epochs stay buffered (they release when a later checkpoint is
-// acknowledged); the dirty pages are re-marked in the tracker so the
-// next checkpoint — or the delta resync — ships them. The guest
-// resumes and keeps running.
-func (r *Replicator) rollback(pauseStart time.Time, runPeriod time.Duration,
-	dirty []memory.PageNum, cause error) (CheckpointStats, error) {
-
-	bm := r.primary.Tracker().Bitmap()
-	for _, p := range dirty {
-		bm.Set(p)
-	}
-	r.rollbacks.Inc()
-	r.primary.Resume()
-	pause := r.src.Clock().Since(pauseStart)
-	r.mu.Lock()
-	r.totals.TotalPause += pause
-	epoch := int64(r.seq)
-	r.mu.Unlock()
-	r.pauseHist.Observe(pause.Seconds())
-	r.tr.Event(trace.EventRollback, epoch, trace.Event{
-		Engine: r.cfg.Engine.String(), Pages: len(dirty), Note: cause.Error(),
-	})
-	r.tr.Record(trace.Event{
-		Kind: trace.SpanPause, Epoch: epoch, Start: pauseStart, Dur: pause,
-		Engine: r.cfg.Engine.String(), Pages: len(dirty), Outcome: "rollback",
-	})
-
-	if !r.cfg.DegradedMode {
-		return CheckpointStats{}, fmt.Errorf("%w: %w", ErrDegraded, cause)
-	}
-	// A failed resync attempt (state Resyncing) continues the same
-	// degraded episode; only a fall from Protected opens a new one.
-	if r.State() == StateProtected {
-		r.degradedEntries.Inc()
-	}
-	r.setState(StateDegraded)
-	r.mu.Lock()
-	st := CheckpointStats{
-		Seq:         r.seq,
-		DirtyPages:  len(dirty),
-		Pause:       pause,
-		RunPeriod:   runPeriod,
-		Degradation: period.Degradation(pause, runPeriod),
-		NextPeriod:  r.cfg.Period,
-		Mode:        StateDegraded,
-	}
-	if r.cfg.PeriodManager != nil {
-		st.NextPeriod = r.cfg.PeriodManager.Period()
-	}
-	r.history = append(r.history, st)
-	r.mu.Unlock()
-	r.updateLegTelemetry()
-	return st, nil
-}
-
-// checkpoint performs the pause→copy→ack→resume sequence of Fig 3,
-// fanned out to every live leg, and releases the checkpoint's buffered
-// output once the ack quorum is reached. With resync it is the delta
-// resync ending a degraded interval: the dirty set is everything
-// accumulated since protection was lost, sharded into 2 MiB regions
-// handed round-robin to the transfer threads exactly like the seeding
-// path — far cheaper than a full re-seed.
-//
-// Leg transfers are sequential, a conservative pause model: a real
-// implementation would overlap them, so the modeled pause upper-bounds
-// the fan-out cost (DESIGN.md §13).
-func (r *Replicator) checkpoint(runPeriod time.Duration, resync bool) (CheckpointStats, error) {
-	clock := r.src.Clock()
-	costs := r.src.Costs()
-	engine := r.cfg.Engine.String()
-	r.mu.Lock()
-	seq := r.seq
-	r.cycles++
-	cycle := r.cycles
-	legs := append([]*leg(nil), r.legs...)
-	r.mu.Unlock()
-	epochID := int64(seq)
-	pauseStart := clock.Now()
-	if resync {
-		r.setState(StateResyncing)
-	}
-
-	// With a real network transport, reconcile acked epochs before a
-	// resync: the re-handshake told us which epoch the peer replica
-	// actually holds, and that decides what may be shipped. A
-	// CheckpointSender implies a single-leg chain (NewChain enforces
-	// it), so leg 0 is the whole story here.
-	overwrite := false
-	if sender := legs[0].sender; resync && sender != nil {
-		switch acked, ok := sender.PeerAcked(); {
-		case ok && acked+1 == seq:
-			// In sync: the peer holds the same last-acked epoch the
-			// encoder's baseline describes — plain delta resync.
-		case ok && acked == seq:
-			// The peer applied the checkpoint whose acknowledgement was
-			// lost: it is one epoch ahead of the baseline, so XOR deltas
-			// would corrupt it. Ship overwrite frames instead and rebuild
-			// the baseline afterwards.
-			overwrite = true
-		default:
-			// The peer restarted empty or regressed — nothing a delta can
-			// build on. Stay degraded; only a re-seed restores protection.
-			r.setState(StateDegraded)
-			if ok {
-				return CheckpointStats{}, fmt.Errorf("%w (next epoch %d, peer acked %d)",
-					ErrReplicaDiverged, seq, acked)
-			}
-			return CheckpointStats{}, fmt.Errorf("%w (next epoch %d, peer holds none)",
-				ErrReplicaDiverged, seq)
-		}
-	}
-
-	r.primary.Pause()
-	epoch := r.iob.SealEpoch()
-	r.mu.Lock()
-	disk := r.disk
-	r.mu.Unlock()
-	var diskEpoch uint64
-	var diskWrites []wire.DiskWrite
-	if disk != nil {
-		diskEpoch, _, _ = disk.SealEpoch()
-		// Every still-sealed epoch rides along: after a rollback the
-		// older epochs' writes were never decoded on the replica, so the
-		// next stream must carry them too.
-		for _, w := range disk.SealedWrites(diskEpoch) {
-			diskWrites = append(diskWrites, wire.DiskWrite{Sector: w.Sector, Data: w.Data})
-		}
-	}
-
-	dirty := r.primary.Tracker().Bitmap().Snapshot()
-	n := len(dirty)
-
-	// CPU-side costs (DESIGN.md §5): the whole-memory dirty scan and
-	// the per-page copy parallelize across HERE's region threads; the
-	// privileged per-page mapping path is serialized by the hypervisor.
-	scanStart := clock.Now()
-	scan := time.Duration(int64(costs.ScanPerPage)*int64(r.primary.Memory().NumPages())) /
-		time.Duration(r.threads)
-	mapping := time.Duration(int64(costs.MapPerDirtyPage) * int64(n))
-	copying := time.Duration(int64(costs.CopyPerDirtyPage)*int64(n)) /
-		time.Duration(r.threads)
-	clock.Sleep(scan + mapping + copying)
-	r.tr.Span(trace.SpanScan, epochID, scanStart, trace.Event{Engine: engine, Pages: n})
-
-	// Capture the vCPU/device state record once; it is translated into
-	// each leg's native image below.
-	encodeStart := clock.Now()
-	clock.Sleep(costs.StateRecord)
-	state, err := r.primary.CaptureState()
-	if err != nil {
-		return CheckpointStats{}, fmt.Errorf("replication: capture: %w", err)
-	}
-
-	var (
-		attempted  int           // legs that tried a delta this cycle
-		acks       int           // of those, the ones that acknowledged
-		totalBytes int64         // wire + ack bytes across acked legs
-		pushBytes  int64         // wire bytes across acked legs (CPU model)
-		ackedPages int64         // page deltas applied across acked legs
-		compressed time.Duration // summed modeled compression cost
-		wireAcc    wire.Stats    // codec stats across acked legs
-		statsWire  wire.Stats    // leg 0's codec stats for CheckpointStats
-		haveWire   bool
-		dec0Disk   []wire.DiskWrite // disk writes decoded from leg 0's stream
-		leg0Acked  bool
-		seededNow  []*leg // legs seeded inside this pause
-		shipErr    error  // first transient failure — the rollback cause
-	)
-	for i, l := range legs {
-		if l.dead {
-			continue
-		}
-		if l.needsSeed {
-			// A leg added mid-run seeds here, inside the pause — the only
-			// moment the guest state is consistent. A failed seed leaves
-			// the leg waiting for the next checkpoint; it never blocks the
-			// epoch (seeding legs are outside the ack quorum).
-			if err := r.seedLeg(l, state); err != nil {
-				if shipErr == nil {
-					shipErr = err
-				}
-				continue
-			}
-			r.mu.Lock()
-			l.ackedSeq = seq
-			l.ackedAt = cycle
-			r.mu.Unlock()
-			seededNow = append(seededNow, l)
-			continue
-		}
-		attempted++
-		// A leg that acknowledged the previous epoch has no backlog:
-		// this epoch's dirty snapshot (already sorted) IS its delta, so
-		// the common healthy path skips the backlog merge entirely. A
-		// lagging leg folds the snapshot into its backlog and catches up
-		// with one larger delta.
-		r.mu.Lock()
-		legDirty := dirty
-		if len(l.pending) > 0 {
-			for _, p := range dirty {
-				l.pending[p] = struct{}{}
-			}
-			legDirty = l.pendingPages()
-		}
-		r.mu.Unlock()
-		ln := len(legDirty)
-		image, err := r.translateState(state, l.dst)
-		if err != nil {
-			return CheckpointStats{}, err
-		}
-		var legDisk []wire.DiskWrite
-		if i == 0 {
-			legDisk = diskWrites
-		}
-
-		// Encode the checkpoint stream against this leg's own baseline:
-		// dirtied memory + (on leg 0) journaled disk writes + state
-		// record, framed and checksummed. The codec measures what the
-		// link actually carries — there is no assumed ratio.
-		legEncStart := encodeStart
-		if i > 0 {
-			legEncStart = clock.Now()
-		}
-		var cp *wire.Checkpoint
-		if overwrite {
-			cp, err = l.enc.EncodeOverwrite(r.primary.Memory(), legDirty, image, legDisk, seq)
-		} else {
-			cp, err = l.enc.Encode(r.primary.Memory(), legDirty, image, legDisk, seq, r.threads)
-		}
-		if err != nil {
-			return CheckpointStats{}, fmt.Errorf("replication: encode: %w", err)
-		}
-		bytes := cp.WireSize
-		var compress time.Duration
-		if r.cfg.Compression {
-			// Content-aware encoding burns guest-visible CPU during the
-			// pause (modeled; EncodeTime in the stats is host wall time).
-			compress = time.Duration(int64(costs.CompressPerDirtyPage)*int64(ln)) /
-				time.Duration(r.threads)
-			clock.Sleep(compress)
-			compressed += compress
-		}
-		// The aggregate encode span covers the state record, the codec and
-		// the modeled compression cost; the per-shard spans mirror the
-		// codec's round-robin region sharding and run in parallel under it.
-		encDur := r.tr.Span(trace.SpanEncode, epochID, legEncStart,
-			trace.Event{Engine: engine, Shard: i, Pages: ln, Bytes: bytes})
-		if r.tr.Enabled() && i == 0 && r.threads > 1 {
-			shardPages := make([]int, r.threads)
-			for _, p := range legDirty {
-				shardPages[memory.RegionOf(p)%r.threads]++
-			}
-			for s, count := range shardPages {
-				if count == 0 {
-					continue
-				}
-				r.tr.Record(trace.Event{
-					Kind: trace.SpanEncode, Epoch: epochID, Start: legEncStart,
-					Dur: encDur, Engine: engine, Shard: s + 1, Pages: count,
-				})
-			}
-		}
-
-		// Ship the encoded stream, then wait for the ack. Transient
-		// failures are retried with backoff; a leg whose transfer outlives
-		// the retry budget misses this epoch — its staged baseline rolls
-		// back so its next deltas still diff against the last epoch it
-		// acknowledged — and the quorum check below decides whether the
-		// epoch commits anyway.
-		transferStart := clock.Now()
-		if l.sender != nil {
-			// The real transport carries the stream itself and its return is
-			// the remote replica's acknowledgement — no separate ack round.
-			// Stream sends are never retried here: after an ambiguous
-			// failure the peer may or may not have applied the epoch, and
-			// re-sending delta frames onto an already-advanced replica would
-			// corrupt it. The degraded→reconnect→resync ladder reconciles
-			// acked epochs instead.
-			//
-			// The transfer span is measured on the wall clock: real TCP
-			// waits do not advance the virtual clock, and the secondary's
-			// stage timings merged below are wall-clock too, so the whole
-			// cross-node breakdown lives in one time base.
-			wallStart := time.Now()
-			if err := l.sender.SendCheckpoint(seq, cp.Stream); err != nil {
-				r.tr.Record(trace.Event{
-					Kind: trace.SpanTransfer, Epoch: epochID, Start: transferStart,
-					Dur: time.Since(wallStart), Engine: engine, Bytes: bytes, Outcome: "failed",
-				})
-				l.enc.Rollback()
-				if isPermanentErr(err) {
-					// Fenced or protocol-incompatible: reconnects cannot cure
-					// it and degraded mode would never resync. Re-arm the
-					// dirty set, resume the guest, surface the error.
-					bm := r.primary.Tracker().Bitmap()
-					for _, p := range dirty {
-						bm.Set(p)
-					}
-					r.primary.Resume()
-					return CheckpointStats{}, fmt.Errorf("replication: transport: %w", err)
-				}
-				return r.rollback(pauseStart, runPeriod, dirty, err)
-			}
-			r.tr.Record(trace.Event{
-				Kind: trace.SpanTransfer, Epoch: epochID, Start: transferStart,
-				Dur: time.Since(wallStart), Engine: engine, Bytes: bytes,
-			})
-			r.recordRemoteStages(l.sender, epochID, transferStart, engine)
-		} else {
-			streams := r.threads
-			if regions := dirtyRegions(legDirty); regions > 0 && regions < streams {
-				// Region sharding bounds the transfer parallelism: fewer
-				// dirtied 2 MiB regions than threads leaves threads idle.
-				streams = regions
-			}
-			if err := r.shipVia(l.tp, epochID, bytes, streams); err != nil {
-				r.tr.Span(trace.SpanTransfer, epochID, transferStart,
-					trace.Event{Engine: engine, Shard: i, Bytes: bytes, Outcome: "failed"})
-				l.enc.Rollback()
-				if isPermanentErr(err) && len(legs) > 1 {
-					r.markLegDead(l, i, epochID, err)
-					continue
-				}
-				r.missedEpoch(l, dirty)
-				if shipErr == nil {
-					shipErr = err
-				}
-				continue
-			}
-			r.tr.Span(trace.SpanTransfer, epochID, transferStart,
-				trace.Event{Engine: engine, Shard: i, Bytes: bytes})
-			ackStart := clock.Now()
-			if err := r.shipVia(l.tp, epochID, ackBytes, 1); err != nil {
-				// The replica may hold the checkpoint data, but without the
-				// acknowledgement the primary must treat it as never applied.
-				r.tr.Span(trace.SpanAck, epochID, ackStart,
-					trace.Event{Engine: engine, Shard: i, Bytes: ackBytes, Outcome: "failed"})
-				l.enc.Rollback()
-				if isPermanentErr(err) && len(legs) > 1 {
-					r.markLegDead(l, i, epochID, err)
-					continue
-				}
-				r.missedEpoch(l, dirty)
-				if shipErr == nil {
-					shipErr = err
-				}
-				continue
-			}
-			r.tr.Span(trace.SpanAck, epochID, ackStart,
-				trace.Event{Engine: engine, Shard: i, Bytes: ackBytes})
-		}
-
-		// Decode atomically on this leg's replica only once acknowledged —
-		// a leg that failed mid-flight above leaves its previous
-		// acknowledged checkpoint intact. The decoder re-validates every
-		// frame's checksum before the first page is applied.
-		dec, err := wire.Decode(cp.Stream, l.mem)
-		if err != nil {
-			return CheckpointStats{}, fmt.Errorf("replication: apply: %w", err)
-		}
-		if overwrite {
-			// Overwrite streams carry no deltas and never staged a baseline;
-			// rebuild the codec's delta cache from the now-reconciled replica
-			// content so the next checkpoint diffs against it.
-			if err := l.enc.Prime(l.mem); err != nil {
-				return CheckpointStats{}, fmt.Errorf("replication: reprime: %w", err)
-			}
-		} else {
-			l.enc.Commit()
-		}
-		r.mu.Lock()
-		l.lastImage = image
-		clear(l.pending)
-		l.ackedSeq = seq + 1
-		l.ackedAt = cycle
-		r.mu.Unlock()
-		acks++
-		ackedPages += int64(ln)
-		totalBytes += bytes + ackBytes
-		pushBytes += bytes
-		wireAcc.Add(cp.Stats)
-		if i == 0 {
-			dec0Disk = dec.Disk
-			leg0Acked = true
-		}
-		if i == 0 || !haveWire {
-			statsWire = cp.Stats
-			haveWire = true
-		}
-	}
-
-	// Quorum: the epoch commits when enough delta legs acknowledged.
-	// Legs seeded this pause hold the epoch's full content but stay
-	// outside the quorum — a mid-run seed must never decide whether
-	// buffered output escapes.
-	if need := r.quorumFor(attempted); acks < need {
-		r.quorumMisses.Inc()
-		cause := shipErr
-		if cause == nil {
-			cause = errors.New("no leg acknowledged the checkpoint")
-		}
-		return r.rollback(pauseStart, runPeriod, dirty, cause)
-	}
-
-	pause := clock.Since(pauseStart)
-	r.primary.Resume()
-	releaseStart := clock.Now()
-
-	// Commit: this checkpoint is now the failover target; apply the
-	// disk writes decoded from leg 0's stream on the replica disk and
-	// release the buffered output to the outside world (Fig 3 step 6).
-	// If leg 0 missed the epoch the disk journal stays sealed and rides
-	// along in leg 0's next stream.
-	if disk != nil && leg0Acked {
-		replica := disk.Replica()
-		for _, w := range dec0Disk {
-			if err := replica.WriteSector(w.Sector, w.Data); err != nil {
-				return CheckpointStats{}, fmt.Errorf("replication: disk apply: %w", err)
-			}
-		}
-		disk.MarkCommitted(diskEpoch)
-	}
-	released := r.iob.Release(epoch)
-	if aware, ok := r.cfg.PeriodManager.(ioAware); ok {
-		aware.RecordIO(len(released))
-	}
-	r.mu.Lock()
-	for _, l := range seededNow {
-		// The seed carried exactly this committed epoch's content.
-		l.ackedSeq = seq + 1
-	}
-	r.lastEpoch = epoch
-	r.seq++
-	r.totals.Checkpoints++
-	r.totals.PagesSent += ackedPages
-	r.totals.BytesSent += totalBytes
-	r.totals.TotalPause += pause
-	r.totals.Wire.Add(wireAcc)
-	// Engine CPU: the per-thread work actually burned across cores,
-	// plus the network-stack copy cost of pushing the checkpoint
-	// through the socket layer (~0.3 ns/byte, i.e. ~3 GB/s per core).
-	r.totals.CPUWork += scan*time.Duration(r.threads) + mapping +
-		copying*time.Duration(r.threads) + compressed*time.Duration(r.threads) +
-		costs.StateRecord + time.Duration(pushBytes*3/10)
-	sink := r.cfg.Sink
-	r.mu.Unlock()
-	if sink != nil && len(released) > 0 {
-		sink(released)
-	}
-	r.tr.Span(trace.SpanRelease, epochID, releaseStart,
-		trace.Event{Engine: engine, Pages: len(released)})
-
-	outcome := "ok"
-	if resync {
-		outcome = "resync"
-		r.resyncs.Inc()
-		r.resyncPages.Add(int64(n))
-		r.resyncBytes.Add(totalBytes)
-	}
-	r.checkpoints.Inc()
-	r.pagesSent.Add(ackedPages)
-	r.bytesSent.Add(totalBytes)
-	r.pauseHist.Observe(pause.Seconds())
-	r.periodHist.Observe(runPeriod.Seconds())
-	r.tr.Record(trace.Event{
-		Kind: trace.SpanPause, Epoch: epochID, Start: pauseStart, Dur: pause,
-		Engine: engine, Pages: n, Bytes: totalBytes, Outcome: outcome,
-	})
-	r.setState(StateProtected)
-
-	st := CheckpointStats{
-		Seq:             seq,
-		Epoch:           epoch,
-		DirtyPages:      n,
-		Bytes:           totalBytes,
-		Pause:           pause,
-		RunPeriod:       runPeriod,
-		Degradation:     period.Degradation(pause, runPeriod),
-		NextPeriod:      r.cfg.Period,
-		PacketsReleased: len(released),
-		Mode:            StateProtected,
-		Resync:          resync,
-		Wire:            statsWire,
-	}
-	if r.cfg.PeriodManager != nil {
-		_, st.NextPeriod = r.cfg.PeriodManager.Observe(pause)
-	}
-	r.mu.Lock()
-	r.history = append(r.history, st)
-	r.mu.Unlock()
-	r.updateLegTelemetry()
-	return st, nil
-}
-
 // ReplicaImage returns leg 0's destination-native machine state image
 // and memory of the last acknowledged checkpoint. The memory must be
 // treated as read-only by callers other than failover.
@@ -1584,25 +1011,41 @@ func (r *Replicator) ReplicaImage() (image []byte, mem *memory.GuestMemory, err 
 	return r.ReplicaImageAt(0)
 }
 
-// History returns a copy of all checkpoint statistics so far.
+// historyCap bounds the per-cycle statistics a replicator retains: a
+// daemon runs for months, and the full record is the tracer's job.
+const historyCap = 128
+
+// remember appends one cycle's statistics to the history ring.
+func (r *Replicator) remember(st CheckpointStats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.history) < historyCap {
+		r.history = append(r.history, st)
+		return
+	}
+	r.history[r.oldest] = st
+	r.oldest = (r.oldest + 1) % historyCap
+}
+
+// History returns a copy of the most recent cycles' statistics, oldest
+// first — at most the last historyCap (128) cycles.
 func (r *Replicator) History() []CheckpointStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]CheckpointStats(nil), r.history...)
+	out := make([]CheckpointStats, 0, len(r.history))
+	out = append(out, r.history[r.oldest:]...)
+	return append(out, r.history[:r.oldest]...)
 }
 
-// Totals returns aggregate statistics. The modeled resident set
-// covers the transfer buffers (one 2 MiB region per thread), the
-// dirty bitmap, and the staged state images (§8.7).
+// Totals returns aggregate statistics. The modeled resident set (§8.7)
+// covers per-thread staging (a 2 MiB transfer region plus socket and
+// compression buffers), the dirty bitmap, each leg's staged state image
+// and wire-codec delta-baseline cache, and the toolstack baseline
+// (libxc/libxl/kvmtool working memory).
 func (r *Replicator) Totals() Totals {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.totals
-	// Modeled resident set: per-thread staging (a 2 MiB transfer
-	// region plus socket and compression buffers), the dirty bitmap,
-	// each leg's staged state image and wire-codec delta-baseline
-	// cache, and the toolstack baseline (libxc/libxl/kvmtool working
-	// memory).
 	var legBytes int64
 	for _, l := range r.legs {
 		legBytes += int64(len(l.lastImage)) + l.enc.BaselineBytes()

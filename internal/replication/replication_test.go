@@ -266,6 +266,38 @@ func TestRunForProducesCheckpointTrain(t *testing.T) {
 	}
 }
 
+// TestHistoryIsBounded: a daemon runs for months, so the per-cycle
+// history is a ring of the last 128 cycles, not a log.
+func TestHistoryIsBounded(t *testing.T) {
+	const historyCap = 128 // replication's unexported constant
+	r := newRig(t, 64*memory.PageSize, 1)
+	rep := r.here(t, replication.Config{Period: 10 * time.Millisecond})
+	if _, err := rep.Seed(); err != nil {
+		t.Fatal(err)
+	}
+	var last replication.CheckpointStats
+	for i := 0; i < 10*historyCap; i++ {
+		writePage(t, r.vm, uint64(i%64), fmt.Sprint("cycle ", i))
+		st, err := rep.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = st
+		if got, want := len(rep.History()), min(i+1, historyCap); got != want {
+			t.Fatalf("after %d cycles History holds %d entries, want %d", i+1, got, want)
+		}
+	}
+	h := rep.History()
+	if h[len(h)-1] != last || last.Seq != 10*historyCap-1 {
+		t.Fatalf("newest entry = %+v, want the last cycle %+v", h[len(h)-1], last)
+	}
+	for i, st := range h {
+		if want := uint64(9*historyCap + i); st.Seq != want {
+			t.Fatalf("History[%d].Seq = %d, want %d (oldest first)", i, st.Seq, want)
+		}
+	}
+}
+
 func TestIOBufferReleasedOnAckOnly(t *testing.T) {
 	r := newRig(t, 512*memory.PageSize, 2)
 	var delivered []devices.Packet

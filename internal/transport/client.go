@@ -76,12 +76,11 @@ func (c *ClientConfig) withDefaults() {
 }
 
 // ackFrame is one decoded acknowledgement: the acked epoch plus the
-// secondary-side stage timings (when the peer reported them).
+// secondary-side stage timings.
 type ackFrame struct {
 	seq    uint64
 	spanID uint64
 	st     ackStages
-	has    bool
 }
 
 // session is one live connection: its socket, the channel acks arrive
@@ -327,13 +326,13 @@ func (c *Client) readLoop(sess *session) {
 			}
 			sess.mu.Unlock()
 		case msgAck:
-			seq, spanID, st, has, err := decodeAck(payload)
+			seq, spanID, st, err := decodeAck(payload)
 			if err != nil {
 				c.sessionDied(sess, "bad ack: "+err.Error())
 				return
 			}
 			select {
-			case sess.acks <- ackFrame{seq: seq, spanID: spanID, st: st, has: has}:
+			case sess.acks <- ackFrame{seq: seq, spanID: spanID, st: st}:
 			default:
 				// No sender waiting (timed out); drop.
 			}
@@ -556,7 +555,7 @@ func (c *Client) send(typ byte, seq uint64, stream []byte) error {
 	c.mu.Lock()
 	c.sentBytes += int64(len(stream))
 	c.lastStages = frame.st
-	c.lastStageOK = frame.has
+	c.lastStageOK = true
 	if typ == msgCheckpoint {
 		c.serverAcked = seq
 		c.ackedOK = true
@@ -586,10 +585,9 @@ func (c *Client) SendSeed(round uint64, stream []byte) error {
 
 // LastRemoteStages reports the secondary-side stage timings (wire
 // read, decode, apply, ack) carried back in the most recent stream
-// acknowledgement. ok is false when no ack has arrived yet or the peer
-// did not report stages. The replicator reads this right after a
-// successful SendCheckpoint to merge the remote stages into the
-// epoch's cross-node breakdown.
+// acknowledgement. ok is false when no ack has arrived yet. The
+// replicator reads this right after a successful SendCheckpoint to
+// merge the remote stages into the epoch's cross-node breakdown.
 func (c *Client) LastRemoteStages() (recv, decode, apply, ack time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

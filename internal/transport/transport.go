@@ -373,10 +373,20 @@ type ackStages struct {
 	Ack    time.Duration
 }
 
+// ackSize is the length of every ack payload: six little-endian words.
+const ackSize = 8 * 6
+
+// ackSizeError is an ack payload of any other length.
+type ackSizeError int
+
+func (e ackSizeError) Error() string {
+	return fmt.Sprintf("transport: %d-byte ack payload, want %d", int(e), ackSize)
+}
+
 // encodeAck serializes an ack: the acked epoch, the echoed span ID and
 // the stage timings.
 func encodeAck(seq, spanID uint64, st ackStages) []byte {
-	b := make([]byte, 0, 8*6)
+	b := make([]byte, 0, ackSize)
 	b = binary.LittleEndian.AppendUint64(b, seq)
 	b = binary.LittleEndian.AppendUint64(b, spanID)
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.Recv))
@@ -386,26 +396,21 @@ func encodeAck(seq, spanID uint64, st ackStages) []byte {
 	return b
 }
 
-// decodeAck parses an ack payload. A bare 8-byte epoch (a v1-style
-// minimal ack) is accepted with ok=false and zero stages.
-func decodeAck(b []byte) (seq, spanID uint64, st ackStages, ok bool, err error) {
-	switch len(b) {
-	case 8:
-		return binary.LittleEndian.Uint64(b), 0, ackStages{}, false, nil
-	case 48:
-		seq = binary.LittleEndian.Uint64(b[0:8])
-		spanID = binary.LittleEndian.Uint64(b[8:16])
-		st.Recv = time.Duration(binary.LittleEndian.Uint64(b[16:24]))
-		st.Decode = time.Duration(binary.LittleEndian.Uint64(b[24:32]))
-		st.Apply = time.Duration(binary.LittleEndian.Uint64(b[32:40]))
-		st.Ack = time.Duration(binary.LittleEndian.Uint64(b[40:48]))
-		return seq, spanID, st, true, nil
-	default:
-		return 0, 0, ackStages{}, false, fmt.Errorf("transport: %d-byte ack payload, want 8 or 48", len(b))
+// decodeAck parses an ack payload.
+func decodeAck(b []byte) (seq, spanID uint64, st ackStages, err error) {
+	if len(b) != ackSize {
+		return 0, 0, ackStages{}, ackSizeError(len(b))
 	}
+	seq = binary.LittleEndian.Uint64(b[0:8])
+	spanID = binary.LittleEndian.Uint64(b[8:16])
+	st.Recv = time.Duration(binary.LittleEndian.Uint64(b[16:24]))
+	st.Decode = time.Duration(binary.LittleEndian.Uint64(b[24:32]))
+	st.Apply = time.Duration(binary.LittleEndian.Uint64(b[32:40]))
+	st.Ack = time.Duration(binary.LittleEndian.Uint64(b[40:48]))
+	return seq, spanID, st, nil
 }
 
-// u64payload serializes a bare uint64 (acks, pings, pongs).
+// u64payload serializes a bare uint64 (pings, pongs).
 func u64payload(v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)
 }
