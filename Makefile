@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench bench-fleet bench-recovery bench-gate trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
 check: vet fmt build test race fuzz-smoke bench-smoke
 
@@ -42,7 +42,9 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && bash run.sh -smoke
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
-# checked-in BENCH_wire.json and BENCH_trace.json baselines.
+# checked-in BENCH_wire.json and BENCH_trace.json baselines. The wire
+# file reproduces byte for byte; a diff there is a codec or pause-model
+# change.
 bench:
 	$(GO) run ./cmd/here-bench -quick -only wire,trace
 
@@ -58,13 +60,19 @@ bench-recovery:
 	$(GO) run ./cmd/here-bench -only recovery
 
 # Regression gate: fresh quick bench vs the committed baselines; fails
-# (non-zero exit) when encode ns/page, trace ns/event, fleet tick
-# ns/protection, fleet status-read latency, recovery latency or
-# recovery pages-resent regresses beyond the tolerance — or when
-# in-place recovery stops beating failover outright. Never rewrites
-# the baselines.
+# (non-zero exit) when a wire row — deterministic: bytes, frame mix,
+# virtual-clock pauses — differs at all from BENCH_wire.json, when trace
+# ns/event, fleet tick ns/protection, fleet status-read latency,
+# recovery latency or recovery pages-resent regresses beyond the
+# tolerance — or when in-place recovery stops beating failover
+# outright. Never rewrites the baselines.
 bench-gate:
 	$(GO) run ./cmd/here-bench -quick -gate
+
+# Non-test Go lines outside bench/ — the figure CHANGES.md entries
+# quote, counted one way.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 # Replay the chaos example with tracing and dump the JSONL trace.
 trace-demo:

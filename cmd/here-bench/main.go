@@ -39,7 +39,7 @@ func run() error {
 		fleetJSON = flag.String("fleetjson", "BENCH_fleet.json", "path for the fleet artifact's machine-readable output (empty = don't write)")
 		recJSON   = flag.String("recoveryjson", "BENCH_recovery.json", "path for the recovery artifact's machine-readable output (empty = don't write)")
 		gate      = flag.Bool("gate", false, "regression gate: run a fresh wire+trace+fleet+recovery bench, compare against the committed baselines, exit non-zero on regression (never overwrites the baselines)")
-		gateTol   = flag.Float64("gate-tol", 0.25, "gate tolerance as a fraction (0.25 = fresh may be up to 25% worse than baseline)")
+		gateTol   = flag.Float64("gate-tol", 0.25, "gate tolerance as a fraction (0.25 = fresh may be up to 25% worse than baseline); wire rows are deterministic and must match exactly regardless")
 	)
 	flag.Parse()
 
@@ -301,8 +301,9 @@ func run() error {
 // runGate is the bench regression gate: run a fresh
 // wire+trace+fleet+recovery bench at the given scale, load the
 // committed baselines, and fail (non-zero exit) if the fresh figures
-// of merit regressed beyond the tolerance. The committed baseline
-// files are never overwritten.
+// of merit regressed beyond the tolerance — or, for the deterministic
+// wire rows, moved at all. The committed baseline files are never
+// overwritten.
 func runGate(scale experiments.Scale, wirePath, tracePath, fleetPath, recPath string, tol float64) error {
 	baseWire, err := experiments.LoadWireBaseline(wirePath)
 	if err != nil {
@@ -321,7 +322,7 @@ func runGate(scale experiments.Scale, wirePath, tracePath, fleetPath, recPath st
 		return fmt.Errorf("gate: recovery baseline: %w", err)
 	}
 
-	fmt.Printf("gate: fresh wire bench (tolerance %.0f%%)...\n", tol*100)
+	fmt.Println("gate: fresh wire bench (exact)...")
 	rows, err := experiments.WireBench(scale)
 	if err != nil {
 		return fmt.Errorf("gate: wire bench: %w", err)
@@ -342,7 +343,7 @@ func runGate(scale experiments.Scale, wirePath, tracePath, fleetPath, recPath st
 		return fmt.Errorf("gate: recovery bench: %w", err)
 	}
 
-	g := experiments.GateWire(baseWire, experiments.WireRowsJSON(rows), tol)
+	g := experiments.GateWire(baseWire, experiments.WireRowsJSON(rows))
 	gt := experiments.GateTrace(baseTrace, experiments.TraceResultJSON(res), tol, 3.0)
 	g.Checks = append(g.Checks, gt.Checks...)
 	g.Failures = append(g.Failures, gt.Failures...)
@@ -367,7 +368,7 @@ func runGate(scale experiments.Scale, wirePath, tracePath, fleetPath, recPath st
 }
 
 // writeWireJSON stores the wire-codec rows machine-readably: raw vs
-// encoded bytes, the frame mix, encode time and pause percentiles per
+// encoded bytes, the frame mix and virtual-clock pause percentiles per
 // workload × codec mode.
 func writeWireJSON(path string, rows []experiments.WireBenchRow) error {
 	if path == "" {

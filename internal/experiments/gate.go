@@ -20,7 +20,6 @@ type WireJSONRow struct {
 	ZeroPages    int64   `json:"zero_pages"`
 	DeltaFrames  int64   `json:"delta_frames"`
 	RawFrames    int64   `json:"raw_frames"`
-	EncodeMillis float64 `json:"encode_ms"`
 	PauseP50ms   float64 `json:"pause_p50_ms"`
 	PauseP99ms   float64 `json:"pause_p99_ms"`
 }
@@ -86,7 +85,6 @@ func WireRowsJSON(rows []WireBenchRow) []WireJSONRow {
 			ZeroPages:    r.ZeroPages,
 			DeltaFrames:  r.DeltaFrames,
 			RawFrames:    r.RawFrames,
-			EncodeMillis: r.EncodeMillis,
 			PauseP50ms:   float64(r.PauseP50.Microseconds()) / 1e3,
 			PauseP99ms:   float64(r.PauseP99.Microseconds()) / 1e3,
 		})
@@ -232,29 +230,15 @@ func (g *GateResult) check(name string, baseline, fresh, tol float64) {
 	g.Checks = append(g.Checks, fmt.Sprintf("%s: %.1f vs %.1f (%s)", name, fresh, baseline, verdict))
 }
 
-// NsPerPage is the gate's wire-codec figure of merit: encode
-// nanoseconds per 4 KiB page actually scanned. Normalising by pages
-// makes quick and full runs comparable.
-func (r WireJSONRow) NsPerPage() float64 {
-	pages := float64(r.RawBytes) / 4096
-	if pages <= 0 {
-		return 0
-	}
-	return r.EncodeMillis * 1e6 / pages
-}
-
-// gateMinPages is the smallest scanned-page count a wire row needs
-// before its ns/page is worth gating on: below this the figure is
-// dominated by timer noise (the idle workload scans ~a dozen pages in
-// an entire quick run).
-const gateMinPages = 1000
-
 // GateWire compares a fresh wire-bench run against the committed
-// baseline: per (workload, codec), encode ns/page must stay within
-// tol. Rows present in only one side are skipped (workload set drift
-// is not a perf regression), as are rows that scanned too few pages
-// for the per-page figure to be meaningful.
-func GateWire(baseline, fresh []WireJSONRow, tol float64) GateResult {
+// baseline. Every column of a row is deterministic — checkpoints, raw
+// and encoded bytes, the frame mix, the virtual-clock pause percentiles
+// — so a row must equal its committed row exactly, at the same scale
+// (BENCH_wire.json is a -quick run); there is no tolerance. A moved
+// column means the codec or the pause model changed what it ships:
+// regenerate the file with `make bench` if that was the intent. Rows
+// present in only one side are skipped (workload set drift).
+func GateWire(baseline, fresh []WireJSONRow) GateResult {
 	var g GateResult
 	base := make(map[string]WireJSONRow, len(baseline))
 	for _, r := range baseline {
@@ -263,15 +247,15 @@ func GateWire(baseline, fresh []WireJSONRow, tol float64) GateResult {
 	for _, f := range fresh {
 		key := f.Workload + "/" + f.Codec
 		b, ok := base[key]
-		if !ok {
+		switch {
+		case !ok:
 			g.Checks = append(g.Checks, fmt.Sprintf("wire %s: skipped (no baseline row)", key))
-			continue
+		case b != f:
+			g.Failures = append(g.Failures, fmt.Sprintf("wire %s moved: %+v vs baseline %+v", key, f, b))
+			g.Checks = append(g.Checks, fmt.Sprintf("wire %s: differs from the baseline row (FAIL)", key))
+		default:
+			g.Checks = append(g.Checks, fmt.Sprintf("wire %s: equals the baseline row (ok)", key))
 		}
-		if b.RawBytes/4096 < gateMinPages || f.RawBytes/4096 < gateMinPages {
-			g.Checks = append(g.Checks, fmt.Sprintf("wire %s: skipped (under %d pages, noise-dominated)", key, gateMinPages))
-			continue
-		}
-		g.check("wire "+key+" ns/page", b.NsPerPage(), f.NsPerPage(), tol)
 	}
 	return g
 }

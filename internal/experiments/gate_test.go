@@ -5,73 +5,62 @@ import (
 	"testing"
 )
 
-func wireRow(workload, codec string, rawBytes int64, encodeMS float64) WireJSONRow {
-	return WireJSONRow{Workload: workload, Codec: codec, RawBytes: rawBytes, EncodeMillis: encodeMS}
+// wireRows is a two-row baseline with every gated column non-zero.
+func wireRows() []WireJSONRow {
+	return []WireJSONRow{
+		{Workload: "idle", Codec: "raw", Checkpoints: 25, RawBytes: 45075, EncodedBytes: 46375,
+			Ratio: 1.0288, PauseP50ms: 1.921, PauseP99ms: 1.921},
+		{Workload: "ycsb-a", Codec: "content-aware", Checkpoints: 18, RawBytes: 30424121030,
+			EncodedBytes: 34547130, Ratio: 0.0011, ZeroPages: 7413774, DeltaFrames: 13982,
+			RawFrames: 7, PauseP50ms: 418.877, PauseP99ms: 419.886},
+	}
 }
 
-func TestGateWirePassesWithinTolerance(t *testing.T) {
-	base := []WireJSONRow{
-		wireRow("idle", "raw", 1<<30, 100),
-		wireRow("idle", "content-aware", 1<<30, 150),
-	}
-	// Fresh run 20% slower: inside the 25% tolerance.
-	fresh := []WireJSONRow{
-		wireRow("idle", "raw", 1<<30, 120),
-		wireRow("idle", "content-aware", 1<<30, 180),
-	}
-	g := GateWire(base, fresh, 0.25)
+func TestGateWirePassesOnIdenticalRows(t *testing.T) {
+	g := GateWire(wireRows(), wireRows())
 	if !g.OK() {
-		t.Fatalf("gate failed inside tolerance: %v", g.Failures)
+		t.Fatalf("gate failed on identical rows: %v", g.Failures)
 	}
 	if len(g.Checks) != 2 {
 		t.Fatalf("expected 2 checks, got %v", g.Checks)
 	}
 }
 
-func TestGateWireFailsOnDoubledNsPerPage(t *testing.T) {
-	base := []WireJSONRow{wireRow("membench", "content-aware", 1<<30, 100)}
-	// Injected regression: 2x the encode time per page.
-	fresh := []WireJSONRow{wireRow("membench", "content-aware", 1<<30, 200)}
-	g := GateWire(base, fresh, 0.25)
-	if g.OK() {
-		t.Fatal("gate passed a 2x ns/page regression")
-	}
-	if !strings.Contains(g.Failures[0], "membench/content-aware") {
-		t.Fatalf("failure does not name the row: %v", g.Failures)
-	}
-}
-
-func TestGateWireNormalisesByPages(t *testing.T) {
-	// Same per-page cost at half the scanned volume must pass: the
-	// gate compares ns/page, not absolute encode time.
-	base := []WireJSONRow{wireRow("ycsb-a", "raw", 1<<30, 100)}
-	fresh := []WireJSONRow{wireRow("ycsb-a", "raw", 1<<29, 50)}
-	g := GateWire(base, fresh, 0.25)
-	if !g.OK() {
-		t.Fatalf("gate failed on scale-only change: %v", g.Failures)
-	}
-}
-
-func TestGateWireSkipsNoiseDominatedRows(t *testing.T) {
-	// The idle workload scans ~a dozen pages per run; a 10x ns/page
-	// swing there is timer noise, not a regression.
-	base := []WireJSONRow{wireRow("idle", "raw", 12*4096, 0.04)}
-	fresh := []WireJSONRow{wireRow("idle", "raw", 12*4096, 0.4)}
-	g := GateWire(base, fresh, 0.25)
-	if !g.OK() {
-		t.Fatalf("noise-dominated row gated: %v", g.Failures)
-	}
-	if !strings.Contains(g.Checks[0], "noise-dominated") {
-		t.Fatalf("skip not reported: %v", g.Checks)
+// TestGateWireFailsOnAnyMovedColumn: the rows are deterministic, so
+// one more frame, byte or microsecond of virtual pause — in either
+// direction — fails the gate and names the row.
+func TestGateWireFailsOnAnyMovedColumn(t *testing.T) {
+	for name, move := range map[string]func(*WireJSONRow){
+		"checkpoints":   func(r *WireJSONRow) { r.Checkpoints++ },
+		"raw_bytes":     func(r *WireJSONRow) { r.RawBytes-- },
+		"encoded_bytes": func(r *WireJSONRow) { r.EncodedBytes-- },
+		"zero_pages":    func(r *WireJSONRow) { r.ZeroPages++ },
+		"delta_frames":  func(r *WireJSONRow) { r.DeltaFrames-- },
+		"raw_frames":    func(r *WireJSONRow) { r.RawFrames++ },
+		"pause_p50_ms":  func(r *WireJSONRow) { r.PauseP50ms -= 0.001 },
+		"pause_p99_ms":  func(r *WireJSONRow) { r.PauseP99ms += 0.001 },
+	} {
+		fresh := wireRows()
+		move(&fresh[1])
+		g := GateWire(wireRows(), fresh)
+		if g.OK() || len(g.Failures) != 1 {
+			t.Fatalf("%s moved: gate result %+v, want one failure", name, g)
+		}
+		if !strings.Contains(g.Failures[0], "ycsb-a/content-aware") {
+			t.Fatalf("failure does not name the row: %v", g.Failures)
+		}
 	}
 }
 
 func TestGateWireSkipsUnknownRows(t *testing.T) {
-	base := []WireJSONRow{wireRow("idle", "raw", 1<<30, 100)}
-	fresh := []WireJSONRow{wireRow("new-workload", "raw", 1<<30, 9999)}
-	g := GateWire(base, fresh, 0.25)
+	fresh := wireRows()
+	fresh[0].Workload, fresh[0].RawBytes = "new-workload", 9999
+	g := GateWire(wireRows(), fresh)
 	if !g.OK() {
-		t.Fatalf("unmatched row treated as regression: %v", g.Failures)
+		t.Fatalf("unmatched row treated as a regression: %v", g.Failures)
+	}
+	if !strings.Contains(g.Checks[0], "no baseline row") {
+		t.Fatalf("skip not reported: %v", g.Checks)
 	}
 }
 

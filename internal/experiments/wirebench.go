@@ -14,6 +14,9 @@ import (
 // WireBenchRow is one wire-codec measurement: a workload replicated
 // with the codec in raw or content-aware mode, reporting what the link
 // actually carried during steady-state checkpoints (seeding excluded).
+// Every column is deterministic — bytes, frames and virtual-clock
+// pauses; what the encoder costs in host wall time is bench/'s
+// wire.encode_*_ns_per_page.
 type WireBenchRow struct {
 	Workload     string
 	ContentAware bool
@@ -22,13 +25,12 @@ type WireBenchRow struct {
 	EncodedBytes int64
 	// Ratio is measured EncodedBytes/RawBytes — the number that
 	// replaced the old flat CompressionRatio constant.
-	Ratio        float64
-	ZeroPages    int64
-	DeltaFrames  int64
-	RawFrames    int64
-	EncodeMillis float64 // host-side encode wall time, total
-	PauseP50     time.Duration
-	PauseP99     time.Duration
+	Ratio       float64
+	ZeroPages   int64
+	DeltaFrames int64
+	RawFrames   int64
+	PauseP50    time.Duration // modeled (virtual-clock) pause
+	PauseP99    time.Duration
 }
 
 // WireBench measures the checkpoint wire codec across workloads and
@@ -108,7 +110,6 @@ func runWireBench(scale Scale, name string, aware bool,
 		ZeroPages:    total.Wire.ZeroPages - seeded.ZeroPages,
 		DeltaFrames:  total.Wire.DeltaFrames - seeded.DeltaFrames,
 		RawFrames:    total.Wire.RawFrames - seeded.RawFrames,
-		EncodeTime:   total.Wire.EncodeTime - seeded.EncodeTime,
 	}
 	return WireBenchRow{
 		Workload:     name,
@@ -120,7 +121,6 @@ func runWireBench(scale Scale, name string, aware bool,
 		ZeroPages:    ckpt.ZeroPages,
 		DeltaFrames:  ckpt.DeltaFrames,
 		RawFrames:    ckpt.RawFrames,
-		EncodeMillis: ckpt.EncodeTime.Seconds() * 1e3,
 		PauseP50:     time.Duration(pauses.Percentile(50) * float64(time.Second)),
 		PauseP99:     time.Duration(pauses.Percentile(99) * float64(time.Second)),
 	}, nil
@@ -130,7 +130,7 @@ func runWireBench(scale Scale, name string, aware bool,
 func RenderWireBench(rows []WireBenchRow) *metrics.Table {
 	tab := metrics.NewTable("Wire codec: measured bytes on the link per workload",
 		"Workload", "Codec", "Raw(MB)", "Wire(MB)", "Ratio",
-		"ZeroPg", "Delta", "RawFr", "Enc(ms)", "PauseP50(ms)", "PauseP99(ms)")
+		"ZeroPg", "Delta", "RawFr", "PauseP50(ms)", "PauseP99(ms)")
 	for _, r := range rows {
 		mode := "raw"
 		if r.ContentAware {
@@ -139,7 +139,6 @@ func RenderWireBench(rows []WireBenchRow) *metrics.Table {
 		tab.AddRow(r.Workload, mode,
 			float64(r.RawBytes)/(1<<20), float64(r.EncodedBytes)/(1<<20),
 			r.Ratio, r.ZeroPages, r.DeltaFrames, r.RawFrames,
-			r.EncodeMillis,
 			float64(r.PauseP50.Microseconds())/1e3,
 			float64(r.PauseP99.Microseconds())/1e3)
 	}

@@ -232,6 +232,14 @@ func (h *Host) VMs() []string {
 	return names
 }
 
+// VMCount reports how many VMs the host holds, without building the
+// sorted name list VMs does.
+func (h *Host) VMCount() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.vms)
+}
+
 // DepositReplica parks replica-side checkpoint state on this host
 // under a stable key (the protection name). It fails if the host is
 // not healthy — a dead host can hold no state.

@@ -102,9 +102,10 @@ type Config struct {
 	// iterations (nil = idle guest).
 	Workload workload.Workload
 	// Codec encodes each batch into the checkpoint wire format. When
-	// the migration seeds continuous replication, passing the
-	// replicator's encoder primes its delta-baseline cache with the
-	// seeded page images. Nil uses a private raw-mode encoder.
+	// the migration seeds continuous replication this is the leg's
+	// encoder, bound (wire.Encoder.Prime) to the destination memory so
+	// later rounds delta against earlier ones. Nil uses a private
+	// raw-mode encoder.
 	Codec *wire.Encoder
 	// Tracer records one "seed-round" span per pre-copy iteration
 	// (Epoch is the iteration number) plus one for the final
@@ -291,19 +292,16 @@ func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.Pa
 			// Real transport: the stream itself crosses the wire, and the
 			// return is the peer replica's acknowledgement of the round.
 			if err := sender.SendSeed(uint64(res.Iterations), cp.Stream); err != nil {
-				enc.Rollback()
 				return 0, fmt.Errorf("migration: %w", err)
 			}
 		} else if _, err := link.Transfer(cp.WireSize, threads); err != nil {
-			enc.Rollback()
 			return 0, fmt.Errorf("migration: %w", err)
 		}
+		// Each batch lands on the destination before the next one is
+		// encoded, so a codec bound to dst deltas against it at once.
 		if _, err := wire.Decode(cp.Stream, dst); err != nil {
 			return 0, fmt.Errorf("migration: apply: %w", err)
 		}
-		// Each batch lands on the destination as soon as it decodes, so
-		// its page images are baseline immediately.
-		enc.Commit()
 		res.PagesSent += int64(n)
 		res.BytesSent += cp.WireSize
 		res.Wire.Add(cp.Stats)

@@ -623,7 +623,7 @@ func hostInfo(h hypervisor.Hypervisor) HostInfo {
 		Reason:  h.FailureReason(),
 	}
 	if host, ok := h.(*hypervisor.Host); ok {
-		info.VMs = len(host.VMs())
+		info.VMs = host.VMCount()
 	}
 	return info
 }

@@ -219,7 +219,7 @@ func (e *Engine) pickPrimary(spec Spec, hosts []*hypervisor.Host) (*hypervisor.H
 		if h.Health() != hypervisor.Healthy || !h.Capabilities().LiveDirtyLog {
 			continue
 		}
-		load := len(h.VMs())
+		load := h.VMCount()
 		if e.cfg.MaxVMs > 0 && load >= e.cfg.MaxVMs {
 			continue
 		}
@@ -247,7 +247,7 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 				Host:    primary.HostName(),
 				Flavor:  primaryFlavor,
 				Overlap: vulns.Overlap(primaryFlavor, primaryFlavor),
-				Load:    len(primary.VMs()),
+				Load:    primary.VMCount(),
 			},
 		},
 	}
@@ -272,8 +272,8 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 			reject(RejectNoRestore, 0, "")
 		case h.Features().Intersect(primary.Features()) == 0:
 			reject(RejectNoFeatures, 0, "")
-		case e.cfg.MaxVMs > 0 && len(h.VMs()) >= e.cfg.MaxVMs:
-			reject(RejectHostFull, 0, fmt.Sprintf("%d/%d vms", len(h.VMs()), e.cfg.MaxVMs))
+		case e.cfg.MaxVMs > 0 && h.VMCount() >= e.cfg.MaxVMs:
+			reject(RejectHostFull, 0, fmt.Sprintf("%d/%d vms", h.VMCount(), e.cfg.MaxVMs))
 		case flavor == primaryFlavor:
 			// Hard gate, not a score: a replica on the identical flavor
 			// shares the primary's entire CVE surface, so the pairing buys
@@ -287,7 +287,7 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 				host:    h,
 				flavor:  flavor,
 				overlap: vulns.Overlap(primaryFlavor, flavor),
-				load:    len(h.VMs()),
+				load:    h.VMCount(),
 			})
 		}
 	}

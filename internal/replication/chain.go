@@ -1,10 +1,11 @@
 // N-way replication chains: one primary fanning checkpoints out to N
-// secondaries (legs). Each leg keeps its own wire codec (delta
-// baselines match what *that* replica acknowledged), its own replica
-// memory and translated state image, and its own pending-page set so a
-// leg that misses an epoch catches up with an ordinary delta on the
-// next one. An epoch commits — the guest's buffered output releases —
-// when a configurable quorum of legs acknowledges (default: all).
+// secondaries (legs). Each leg keeps its own replica memory (which is
+// also its wire codec's delta baseline: what *that* replica
+// acknowledged), its own translated state image, and its own
+// pending-page set so a leg that misses an epoch catches up with an
+// ordinary delta on the next one. An epoch commits — the guest's
+// buffered output releases — when a configurable quorum of legs
+// acknowledges (default: all).
 package replication
 
 import (
@@ -38,11 +39,13 @@ type leg struct {
 	// sender is non-nil when tp carries the encoded streams itself —
 	// only permitted on single-leg chains.
 	sender CheckpointSender
-	// enc is this leg's wire codec; its delta baseline tracks what THIS
-	// replica acknowledged, which may trail other legs after a miss.
+	// enc is this leg's wire codec, bound to mem as its delta baseline:
+	// what THIS replica acknowledged, which may trail other legs after a
+	// miss.
 	enc *wire.Encoder
 	// mem and lastImage are the replica-side memory and the dst-native
-	// machine-state image of the leg's last acknowledged checkpoint.
+	// machine-state image of the leg's last acknowledged checkpoint. mem
+	// changes only by decoding an acknowledged stream (or a seed copy).
 	mem       *memory.GuestMemory
 	lastImage []byte
 	// pending is the dirty-page backlog this leg has not acknowledged
@@ -92,14 +95,22 @@ type LegStatus struct {
 func newLeg(sec Secondary, memBytes uint64, compression bool) *leg {
 	sender, _ := sec.Transport.(CheckpointSender)
 	mem := memory.NewGuestMemory(memBytes)
-	return &leg{
+	l := &leg{
 		dst:     sec.Host,
 		tp:      sec.Transport,
 		sender:  sender,
 		enc:     wire.NewEncoder(compression),
-		mem:     mem,
 		pending: memory.NewDirtyBitmap(mem.NumPages()),
 	}
+	l.bindReplica(mem)
+	return l
+}
+
+// bindReplica makes mem the leg's replica memory and, with it, the
+// baseline its codec deltas against.
+func (l *leg) bindReplica(mem *memory.GuestMemory) {
+	l.mem = mem
+	_ = l.enc.Prime(mem) // fails on nil only; callers pass real memory
 }
 
 // missedEpoch folds an epoch's dirty snapshot into the leg's backlog:

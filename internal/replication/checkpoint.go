@@ -106,13 +106,13 @@ func (r *Replicator) begin(runPeriod time.Duration, resync bool) (*ckpt, error) 
 	}
 	switch acked, ok := sender.PeerAcked(); {
 	case ok && acked+1 == c.seq:
-		// In sync: the peer holds the same last-acked epoch the
-		// encoder's baseline describes — plain delta resync.
+		// In sync: the peer holds the same last-acked epoch as the
+		// leg's replica memory, the delta baseline — plain delta resync.
 	case ok && acked == c.seq:
 		// The peer applied the checkpoint whose acknowledgement was
-		// lost: it is one epoch ahead of the baseline, so XOR deltas
-		// would corrupt it. Ship overwrite frames instead and rebuild
-		// the baseline afterwards.
+		// lost: it is one epoch ahead of the leg's replica memory, so XOR
+		// deltas would corrupt it. Ship overwrite frames instead; applying
+		// them makes both sides equal again on every page shipped.
 		c.overwrite = true
 	default:
 		// The peer restarted empty or regressed — nothing a delta can
@@ -230,15 +230,6 @@ func (r *Replicator) runLeg(c *ckpt, i int, l *leg) error {
 	if err != nil {
 		return fmt.Errorf("replication: apply: %w", err)
 	}
-	if c.overwrite {
-		// Overwrite streams never staged a baseline; rebuild the delta
-		// cache from the now-reconciled replica content.
-		if err := l.enc.Prime(l.mem); err != nil {
-			return fmt.Errorf("replication: reprime: %w", err)
-		}
-	} else {
-		l.enc.Commit()
-	}
 	r.mu.Lock()
 	l.lastImage = image
 	l.pending.Snapshot() // read and reset: the backlog is settled
@@ -266,7 +257,7 @@ func (c *ckpt) noteMiss(err error) {
 	}
 }
 
-// encode frames the checkpoint stream against this leg's own baseline:
+// encode frames the checkpoint stream against this leg's own replica:
 // dirtied memory + (on leg 0) journaled disk writes + state record.
 // The codec measures what the link carries — there is no assumed ratio.
 func (r *Replicator) encode(c *ckpt, i int, l *leg, pages []memory.PageNum, image []byte) (*wire.Checkpoint, error) {
@@ -453,11 +444,6 @@ func (r *Replicator) quorum(c *ckpt) error {
 // buffered until a later checkpoint is acknowledged.
 func (r *Replicator) finish(c *ckpt, verdict error) (CheckpointStats, error) {
 	clock := r.src.Clock()
-	for _, l := range c.legs {
-		// Staged state no acknowledgement committed is abandoned: the
-		// next deltas must diff against what the replica holds.
-		l.enc.Rollback()
-	}
 	if verdict != nil {
 		bm := r.primary.Tracker().Bitmap()
 		for _, p := range c.dirty {

@@ -5,13 +5,19 @@ package replication_test
 // secondary hypervisor, a clock that resumes the guest behind the
 // replicator's back, a simnet injector, a fake CheckpointSender. Every
 // row leaves through the same deferred epilogue, which must roll back
-// and resume. A failing wire.Decode or Encoder.Prime has no seam and
-// gets no production hook: it returns through that same epilogue, so
-// the guarantees below hold for it by construction.
+// and resume. A failing wire.Decode has no seam and gets no production
+// hook: it returns through that same epilogue, so the guarantees below
+// hold for it by construction.
+//
+// The table runs twice, raw and with Compression: the content-aware
+// codec deltas against each leg's replica memory, so "the encoder's
+// baseline is what that replica holds" is the same statement as the
+// replica == primary check after the next acknowledged checkpoint.
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,14 +82,16 @@ func (f *linkFaults) TransferFault(bytes int64, _ int) error {
 }
 
 // fakeSender is a CheckpointSender whose peer replica lives in the
-// test: streams are decoded onto peer, and fail makes the next sends
-// fail before anything is applied.
+// test: streams are decoded onto peer, fail makes the next sends fail
+// before anything is applied, and loseAck makes them fail after the
+// peer applied them — the lost acknowledgement.
 type fakeSender struct {
 	*simnet.Link
-	peer  *memory.GuestMemory
-	acked uint64
-	holds bool
-	fail  error
+	peer    *memory.GuestMemory
+	acked   uint64
+	holds   bool
+	fail    error
+	loseAck bool
 }
 
 func (s *fakeSender) SendCheckpoint(seq uint64, stream []byte) error {
@@ -94,6 +102,9 @@ func (s *fakeSender) SendCheckpoint(seq uint64, stream []byte) error {
 		return err
 	}
 	s.acked, s.holds = seq, true
+	if s.loseAck {
+		return errInjected
+	}
 	return nil
 }
 
@@ -108,6 +119,7 @@ func (s *fakeSender) PeerAcked() (uint64, bool) { return s.acked, s.holds }
 type epilogueRig struct {
 	clk    *hookClock
 	vm     *hypervisor.VM
+	secs   []replication.Secondary
 	hosts  []*flakyHost
 	faults []*linkFaults
 	sender *fakeSender // nil on the simnet rigs
@@ -128,7 +140,6 @@ func newEpilogueRig(t *testing.T, legs int, sender bool, cfg replication.Config)
 		t.Fatal(err)
 	}
 	chain := []hypervisor.Hypervisor{ph}
-	var secs []replication.Secondary
 	for i := 0; i < legs; i++ {
 		mk := kvm.New
 		if i == 1 {
@@ -151,7 +162,7 @@ func newEpilogueRig(t *testing.T, legs int, sender bool, cfg replication.Config)
 		}
 		chain = append(chain, h)
 		r.hosts, r.faults = append(r.hosts, host), append(r.faults, inj)
-		secs = append(secs, replication.Secondary{Host: host, Transport: tp})
+		r.secs = append(r.secs, replication.Secondary{Host: host, Transport: tp})
 	}
 	r.vm, err = ph.CreateVM(hypervisor.VMConfig{
 		Name: "protected", MemBytes: epilogueMem, VCPUs: 2,
@@ -165,7 +176,7 @@ func newEpilogueRig(t *testing.T, legs int, sender bool, cfg replication.Config)
 	cfg.Engine = replication.EngineHERE
 	cfg.Period = 100 * time.Millisecond
 	cfg.Sink = func(p []devices.Packet) { r.sunk += len(p) }
-	if r.rep, err = replication.NewChain(r.vm, secs, cfg); err != nil {
+	if r.rep, err = replication.NewChain(r.vm, r.secs, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -242,13 +253,18 @@ func TestCheckpointEpilogueUnderFaults(t *testing.T) {
 		{name: "sender permanent", rig: senderLeg, cfg: rides, wantErr: fencedErr{},
 			inject: func(r *epilogueRig) { r.sender.fail = fencedErr{} }},
 	}
+	for _, tc := range cases { // every row again through the content-aware codec
+		tc.rig += "+codec"
+		tc.cfg.Compression = true
+		cases = append(cases, tc)
+	}
 	for _, tc := range cases {
 		t.Run(tc.rig+"/"+tc.name, func(t *testing.T) {
 			legs := 1
-			if tc.rig == twoLegs {
+			if strings.HasPrefix(tc.rig, twoLegs) {
 				legs = 2
 			}
-			r := newEpilogueRig(t, legs, tc.rig == senderLeg, tc.cfg)
+			r := newEpilogueRig(t, legs, strings.HasPrefix(tc.rig, senderLeg), tc.cfg)
 			seedChain(t, r.rep)
 			writePage(t, r.vm, 7, "epoch zero")
 			if _, err := r.rep.RunCycle(); err != nil {
@@ -256,8 +272,9 @@ func TestCheckpointEpilogueUnderFaults(t *testing.T) {
 			}
 			r.replicasEqual(t)
 
-			// The epoch the fault hits: three dirty pages and one
-			// buffered packet.
+			// The epoch the fault hits: three dirty pages, a rewrite of
+			// the acknowledged page 7 and one buffered packet.
+			writePage(t, r.vm, 7, "rewritten in the abandoned epoch")
 			writePage(t, r.vm, 3, "lost unless re-marked")
 			writePage(t, r.vm, 70, "second region of the delta")
 			writePage(t, r.vm, 200, "third")
@@ -304,11 +321,88 @@ func TestCheckpointEpilogueUnderFaults(t *testing.T) {
 				t.Fatalf("recovery cycle: %+v, %v, want protected at epoch %d", st, err, before)
 			}
 			r.replicasEqual(t)
+			if tc.cfg.Compression && st.Wire.DeltaFrames == 0 {
+				t.Fatalf("recovery checkpoint shipped no delta frame: %+v", st.Wire)
+			}
 			if r.sunk != 1 {
 				t.Fatalf("sink saw %d packets after the epoch committed, want 1", r.sunk)
 			}
 		})
 	}
+}
+
+// TestLostAckThenPlainDelta: the peer applied an epoch whose
+// acknowledgement was lost, so it is one epoch ahead of the leg's
+// replica memory. The resync ships overwrite frames, which make both
+// sides equal again; the cycle after it is an ordinary delta against
+// that converged replica, with no codec step in between.
+func TestLostAckThenPlainDelta(t *testing.T) {
+	r := newEpilogueRig(t, 1, true, replication.Config{DegradedMode: true, Compression: true})
+	seedChain(t, r.rep)
+	writePage(t, r.vm, 7, "epoch zero")
+	if _, err := r.rep.RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+
+	writePage(t, r.vm, 7, "applied by the peer, never acknowledged")
+	writePage(t, r.vm, 3, "likewise")
+	r.sender.loseAck = true
+	if st, err := r.rep.RunCycle(); err != nil || st.Mode != replication.StateDegraded {
+		t.Fatalf("lost-ack cycle: %+v, %v, want a degraded cycle", st, err)
+	}
+	if _, mem, _ := r.rep.ReplicaImageAt(0); len(r.sender.peer.DiffPages(mem)) == 0 {
+		t.Fatal("the peer is not ahead of the leg's replica memory: nothing to reconcile")
+	}
+
+	r.sender.loseAck = false
+	writePage(t, r.vm, 7, "dirtied again before the resync")
+	st, err := r.rep.RunCycle()
+	if err != nil || !st.Resync || st.Wire.DeltaFrames != 0 || st.Wire.RawFrames == 0 {
+		t.Fatalf("resync: %+v, %v, want an overwrite stream (raw frames, no deltas)", st, err)
+	}
+	r.replicasEqual(t)
+
+	writePage(t, r.vm, 7, "a plain delta")
+	st, err = r.rep.RunCycle()
+	if err != nil || st.Resync || st.Wire.DeltaFrames != 1 || st.Wire.RawFrames != 0 {
+		t.Fatalf("cycle after the resync: %+v, %v, want one delta frame", st, err)
+	}
+	r.replicasEqual(t)
+}
+
+// TestResumeDeltasAgainstResumedMemory: a successor replicator handed a
+// predecessor's replica memory through Config.Resume deltas its first
+// resync against that memory as it stands.
+func TestResumeDeltasAgainstResumedMemory(t *testing.T) {
+	cfg := replication.Config{Compression: true}
+	r := newEpilogueRig(t, 1, false, cfg)
+	seedChain(t, r.rep)
+	writePage(t, r.vm, 7, "acknowledged before the restart")
+	if _, err := r.rep.RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+	handoff, err := r.rep.HandoffAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	writePage(t, r.vm, 7, "dirtied while unattached")
+	writePage(t, r.vm, 3, "likewise")
+	cfg.Engine, cfg.Period, cfg.Resume = replication.EngineHERE, 100*time.Millisecond, handoff
+	if r.rep, err = replication.NewChain(r.vm, r.secs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.rep.RunCycle()
+	if err != nil || !st.Resync || st.Seq != handoff.Seq {
+		t.Fatalf("first cycle after resume: %+v, %v, want a resync at epoch %d", st, err, handoff.Seq)
+	}
+	if st.Wire.DeltaFrames != 2 || st.Wire.RawFrames != 0 {
+		t.Fatalf("resync frame mix %+v, want two delta frames", st.Wire)
+	}
+	if _, mem, _ := r.rep.ReplicaImageAt(0); mem != handoff.Mem {
+		t.Fatal("the resumed memory is not the leg's replica")
+	}
+	r.replicasEqual(t)
 }
 
 // TestSeedFailureResumesGuest: the seeding migration ends on a paused

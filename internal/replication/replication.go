@@ -394,9 +394,10 @@ type Config struct {
 	// starts seeded with the given replica memory, last acked state
 	// image and checkpoint sequence, in degraded mode, so the first
 	// healthy cycle ships a delta resync of the pages dirtied since —
-	// no full re-seed. The encoder's delta baseline is primed from the
-	// resumed memory. Nil starts unseeded as usual (Seed required).
-	// Resume re-attaches exactly one leg; widen with AddLeg after.
+	// no full re-seed. The resumed memory becomes the leg's replica, so
+	// that resync already deltas against it. Nil starts unseeded as
+	// usual (Seed required). Resume re-attaches exactly one leg; widen
+	// with AddLeg after.
 	Resume *ResumeState
 }
 
@@ -604,9 +605,6 @@ func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicat
 			return nil, fmt.Errorf("replication: resume memory is %d bytes, vm has %d",
 				cfg.Resume.Mem.SizeBytes(), vm.Memory().SizeBytes())
 		}
-		if err := legs[0].enc.Prime(cfg.Resume.Mem); err != nil {
-			return nil, fmt.Errorf("replication: %w", err)
-		}
 	}
 	r := &Replicator{
 		cfg:     cfg,
@@ -653,7 +651,7 @@ func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicat
 		// degraded mode, so the first healthy cycle is a delta resync
 		// of whatever was dirtied while unattached.
 		r.seeded = true
-		r.legs[0].mem = res.Mem
+		r.legs[0].bindReplica(res.Mem)
 		r.legs[0].lastImage = append([]byte(nil), res.Image...)
 		r.legs[0].ackedSeq = res.Seq
 		r.seq = res.Seq
@@ -783,8 +781,8 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	mcfg := r.cfg.Seeding
 	mcfg.Transport = first.tp
 	mcfg.Mode = mode
-	// Seed through the leg's own codec so the baseline cache is
-	// primed: the first checkpoint's deltas diff against seeded content.
+	// Seed through the leg's own codec: every round diffs against what
+	// the earlier rounds left in the leg's replica memory.
 	mcfg.Codec = first.enc
 	if mcfg.Tracer == nil {
 		mcfg.Tracer = r.tr
@@ -826,8 +824,8 @@ func (r *Replicator) Seed() (migration.Result, error) {
 
 // seedLeg ships a full snapshot of the paused primary onto one leg:
 // account the transfer, copy every populated page into the leg's
-// replica memory, prime its codec baseline, and store the translated
-// machine-state image. The primary must be paused.
+// replica memory, and store the translated machine-state image. The
+// primary must be paused.
 func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 	image, err := r.translateState(state, l.dst)
 	if err != nil {
@@ -840,9 +838,6 @@ func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
 	}
 	if err := mem.CopyPagesTo(pages, l.mem); err != nil {
-		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
-	}
-	if err := l.enc.Prime(l.mem); err != nil {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)
 	}
 	r.mu.Lock()
@@ -1039,16 +1034,17 @@ func (r *Replicator) History() []CheckpointStats {
 
 // Totals returns aggregate statistics. The modeled resident set (§8.7)
 // covers per-thread staging (a 2 MiB transfer region plus socket and
-// compression buffers), the dirty bitmap, each leg's staged state image
-// and wire-codec delta-baseline cache, and the toolstack baseline
-// (libxc/libxl/kvmtool working memory).
+// compression buffers), the dirty bitmap, each leg's last state
+// image, and the toolstack baseline (libxc/libxl/kvmtool working
+// memory). The wire codec adds nothing: its delta baseline is the
+// replica memory on the secondary.
 func (r *Replicator) Totals() Totals {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.totals
 	var legBytes int64
 	for _, l := range r.legs {
-		legBytes += int64(len(l.lastImage)) + l.enc.BaselineBytes()
+		legBytes += int64(len(l.lastImage))
 	}
 	t.RSSBytes = int64(r.threads)*48<<20 +
 		int64(r.primary.Memory().NumPages()/8) +

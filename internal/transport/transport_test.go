@@ -29,16 +29,35 @@ func fill(t *testing.T, mem *memory.GuestMemory, first memory.PageNum, count int
 	}
 }
 
-// encode frames pages of mem into one checkpoint stream and commits
-// the encoder baseline (tests play the happy-path ack).
-func encode(t *testing.T, enc *wire.Encoder, mem *memory.GuestMemory,
+// legCodec is the sending side of a test protection, held the way a
+// replication leg holds it: a content-aware encoder bound to a local
+// mirror of the peer's replica, its delta baseline.
+type legCodec struct {
+	enc    *wire.Encoder
+	mirror *memory.GuestMemory
+}
+
+func newLegCodec(t *testing.T) *legCodec {
+	t.Helper()
+	c := &legCodec{enc: wire.NewEncoder(true), mirror: memory.NewGuestMemory(testMemBytes)}
+	if err := c.enc.Prime(c.mirror); err != nil {
+		t.Fatalf("Prime: %v", err)
+	}
+	return c
+}
+
+// encode frames pages of mem into one checkpoint stream and applies it
+// to the mirror (tests play the happy-path ack).
+func encode(t *testing.T, c *legCodec, mem *memory.GuestMemory,
 	pages []memory.PageNum, seq uint64) []byte {
 	t.Helper()
-	cp, err := enc.Encode(mem, pages, []byte(fmt.Sprintf("state-%d", seq)), nil, seq, 1)
+	cp, err := c.enc.Encode(mem, pages, []byte(fmt.Sprintf("state-%d", seq)), nil, seq, 1)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	enc.Commit()
+	if _, err := wire.Decode(cp.Stream, c.mirror); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
 	return cp.Stream
 }
 
@@ -94,7 +113,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newLegCodec(t)
 	fill(t, mem, 10, 4, 0x11)
 
 	// A seeding round, then two checkpoints.
@@ -197,7 +216,7 @@ func TestStaleGenerationAfterTakeover(t *testing.T) {
 	}
 	defer cliA.Close()
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newLegCodec(t)
 	fill(t, mem, 0, 2, 0x44)
 	if err := cliA.SendCheckpoint(1, encode(t, enc, mem, pageRange(0, 2), 1)); err != nil {
 		t.Fatal(err)
@@ -233,7 +252,7 @@ func TestReconnectResumesAckedEpoch(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newLegCodec(t)
 	fill(t, mem, 5, 3, 0x55)
 	if err := cli.SendCheckpoint(1, encode(t, enc, mem, pageRange(5, 3), 1)); err != nil {
 		t.Fatal(err)
@@ -285,7 +304,7 @@ func TestLostAckLeavesPeerAhead(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newLegCodec(t)
 	fill(t, mem, 0, 2, 0x77)
 	if err := cli.SendCheckpoint(1, encode(t, enc, mem, pageRange(0, 2), 1)); err != nil {
 		t.Fatal(err)
@@ -331,7 +350,7 @@ func TestPartialWriteRejected(t *testing.T) {
 	defer cli.Close()
 
 	mem := memory.NewGuestMemory(testMemBytes)
-	enc := wire.NewEncoder(true)
+	enc := newLegCodec(t)
 	fill(t, mem, 0, 8, 0x99)
 
 	// Cut each new connection after 64 upstream bytes: the next

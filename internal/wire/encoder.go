@@ -11,17 +11,16 @@ import (
 )
 
 // Encoder turns checkpoints into framed wire streams. In content-aware
-// mode it keeps a baseline cache — the page images of the last *acked*
-// epoch — and picks the cheapest encoding per page: zero-run elision,
-// XOR+RLE delta against the baseline, or raw fallback.
+// mode it picks the cheapest encoding per page: zero-run elision,
+// XOR+RLE delta, or raw fallback.
 //
-// The baseline follows the checkpoint acknowledgement protocol, not
-// the encode call: Encode stages the new page images, Commit promotes
-// them once the replica acknowledged the checkpoint, and Rollback
-// discards them when the transfer died — so the next cycle's deltas
-// still diff against the last epoch the replica actually holds. At
-// most one encoded checkpoint may be in flight at a time (the
-// replication cycle is serial by construction).
+// The delta baseline is the replica itself: Prime binds the memory the
+// decoded streams land in, and every delta XORs against the page that
+// memory holds at encode time. The encoder never writes it. The replica
+// changes only when an acknowledged stream is decoded into it, so an
+// abandoned checkpoint needs no codec step — the next encode still
+// diffs against the last epoch the replica actually holds — and the
+// encoder keeps no page copy of its own.
 //
 // An Encoder is safe for concurrent use; Encode itself fans the page
 // work out across shard workers using the same round-robin 2 MiB
@@ -29,17 +28,15 @@ import (
 type Encoder struct {
 	contentAware bool
 
-	mu       sync.Mutex
-	baseline map[memory.PageNum][]byte // last acked page images
-	staged   map[memory.PageNum][]byte // in-flight epoch; nil = page went zero
-	baseSize int64
+	mu      sync.Mutex
+	replica *memory.GuestMemory // the delta baseline, bound by Prime; read only
 
 	// Registry counters (here_wire_*), set by Instrument; nil until then.
 	rawBytesC, encodedBytesC, zeroPagesC, deltaFramesC, rawFramesC *trace.Counter
 }
 
-// Instrument registers the codec's counters into reg: every Encode
-// accumulates its measured Stats into here_wire_raw_bytes_total,
+// Instrument registers the codec's counters into reg: every encoded
+// stream accumulates its measured Stats into here_wire_raw_bytes_total,
 // here_wire_encoded_bytes_total, here_wire_zero_pages_total,
 // here_wire_delta_frames_total and here_wire_raw_frames_total.
 func (e *Encoder) Instrument(reg *trace.Registry) {
@@ -55,79 +52,44 @@ func (e *Encoder) Instrument(reg *trace.Registry) {
 	e.zeroPagesC = reg.Counter("here_wire_zero_pages_total",
 		"pages elided as all-zero runs")
 	e.deltaFramesC = reg.Counter("here_wire_delta_frames_total",
-		"pages shipped as XOR deltas against the acked baseline")
+		"pages shipped as XOR deltas against the replica's page")
 	e.rawFramesC = reg.Counter("here_wire_raw_frames_total",
 		"pages shipped verbatim")
 }
 
 // NewEncoder returns an encoder. contentAware enables the zero/delta/
-// raw encoding choice (and the baseline cache it needs); false frames
-// every page verbatim — the uncompressed baseline whose measured wire
-// size matches what an unencoded stream would carry.
+// raw encoding choice; false frames every page verbatim — the
+// uncompressed baseline whose measured wire size matches what an
+// unencoded stream would carry.
 func NewEncoder(contentAware bool) *Encoder {
-	return &Encoder{
-		contentAware: contentAware,
-		baseline:     make(map[memory.PageNum][]byte),
-		staged:       make(map[memory.PageNum][]byte),
-	}
+	return &Encoder{contentAware: contentAware}
 }
 
 // ContentAware reports whether content-aware encoding is enabled.
 func (e *Encoder) ContentAware() bool { return e.contentAware }
 
-// Prime rebuilds the baseline cache from an existing replica memory:
-// every populated, non-zero page becomes the acked image the next
-// encode's deltas diff against. This is the restart-resume path — a
-// fresh encoder re-attaching to replica state that survived from a
-// previous process, where delta frames must XOR against exactly what
-// the replica holds. Any staged or previously primed state is
-// discarded first. A no-op in raw mode.
+// Prime binds the replica memory this encoder's streams are decoded
+// into: from here on delta frames XOR against the pages mem holds when
+// Encode runs. It copies nothing, so it costs the same for a fresh
+// replica and for one that survived a previous process (the
+// restart-resume path). Until a replica is bound there is nothing
+// known to diff against and no delta frame is emitted.
 func (e *Encoder) Prime(mem *memory.GuestMemory) error {
 	if mem == nil {
 		return fmt.Errorf("wire: prime from nil memory")
 	}
-	if !e.contentAware {
-		return nil
-	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.baseline = make(map[memory.PageNum][]byte)
-	e.staged = make(map[memory.PageNum][]byte)
-	e.baseSize = 0
-	var buf [memory.PageSize]byte
-	for p := memory.PageNum(0); p < mem.NumPages(); p++ {
-		if !mem.Populated(p) {
-			continue
-		}
-		if err := mem.ReadPage(p, buf[:]); err != nil {
-			return fmt.Errorf("wire: prime: %w", err)
-		}
-		if allZero(buf[:]) {
-			// Commit evicts logically zero pages (implicit zero
-			// baseline); mirror that here.
-			continue
-		}
-		img := make([]byte, memory.PageSize)
-		copy(img, buf[:])
-		e.baseline[p] = img
-		e.baseSize += memory.PageSize
-	}
+	e.replica = mem
+	e.mu.Unlock()
 	return nil
 }
 
-// BaselinePages reports how many page images the baseline cache holds.
-func (e *Encoder) BaselinePages() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.baseline)
-}
-
-// BaselineBytes reports the baseline cache's resident size.
-func (e *Encoder) BaselineBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.baseSize
-}
+// Commit does nothing: the replica is the baseline, so an acknowledged
+// stream has nothing to promote. It stays only because bench/probes.go,
+// which an ordinary PR may not touch, calls it on its probe encoder; a
+// bench-only PR primes that probe from its scratch replica instead of
+// the guest and drops the call, and this method with it.
+func (e *Encoder) Commit() {}
 
 // Checkpoint is one encoded checkpoint stream.
 type Checkpoint struct {
@@ -144,43 +106,57 @@ type Checkpoint struct {
 	Stats Stats
 }
 
-// shardFrames is one worker's output.
-type shardFrames struct {
-	buf    []byte
-	stats  Stats
-	staged map[memory.PageNum][]byte
-	hole   int64 // zero pages charged at PageSize in raw mode
-}
-
 // Encode frames one checkpoint: the given pages read from mem, the
 // translated machine state record, and the journaled disk writes.
 // Page encoding is sharded across `shards` workers by 2 MiB region,
 // round-robin, mirroring the transfer threads. The VM is paused during
-// checkpoints, so mem is stable for the duration of the call.
-//
-// In content-aware mode the new page images are staged; the caller
-// must Commit after the replica acknowledged the stream or Rollback
-// after abandoning it, before encoding the next checkpoint.
+// checkpoints, so mem is stable for the duration of the call. A page
+// listed more than once is framed once.
 func (e *Encoder) Encode(mem *memory.GuestMemory, pages []memory.PageNum,
 	state []byte, disk []DiskWrite, seq uint64, shards int) (*Checkpoint, error) {
+	return e.encode(mem, pages, state, disk, seq, shards, false)
+}
+
+// EncodeOverwrite frames one checkpoint as overwrite-only content —
+// zero-run and raw frames, never deltas — regardless of the encoder's
+// mode. This is the remote-ahead resync stream: after a lost
+// acknowledgement the peer replica may hold an epoch the bound replica
+// memory does not (it applied a checkpoint whose ack never arrived), so
+// XOR deltas would corrupt it. Overwrite frames are correct against any
+// replica content, and decoding them leaves both sides equal on every
+// page shipped: the next cycle is a plain delta again.
+func (e *Encoder) EncodeOverwrite(mem *memory.GuestMemory, pages []memory.PageNum,
+	state []byte, disk []DiskWrite, seq uint64) (*Checkpoint, error) {
+	return e.encode(mem, pages, state, disk, seq, 1, true)
+}
+
+// encode is the one stream builder: page frames from framePages per
+// shard, then the disk, state and commit frames and the stats.
+func (e *Encoder) encode(mem *memory.GuestMemory, pages []memory.PageNum,
+	state []byte, disk []DiskWrite, seq uint64, shards int, overwrite bool) (*Checkpoint, error) {
 
 	start := time.Now()
 	if mem == nil {
 		return nil, fmt.Errorf("wire: encode: nil memory")
 	}
-	for _, p := range pages {
-		if p >= mem.NumPages() {
-			return nil, fmt.Errorf("wire: encode: page %d beyond memory (%d pages)",
-				p, mem.NumPages())
-		}
+	pages, err := uniquePages(pages, mem.NumPages())
+	if err != nil {
+		return nil, err
 	}
 	if shards < 1 {
 		shards = 1
 	}
 
+	// An overwrite stream finds zero pages by content like a
+	// content-aware one; it just may not delta.
+	aware := e.contentAware || overwrite
 	e.mu.Lock()
-	e.staged = make(map[memory.PageNum][]byte) // any prior staging is stale
-	baseline := e.baseline                     // read-only while encoding
+	var base *memory.GuestMemory
+	if e.contentAware && !overwrite {
+		base = e.replica
+	}
+	rawB, encB, zeroP, deltaF, rawF :=
+		e.rawBytesC, e.encodedBytesC, e.zeroPagesC, e.deltaFramesC, e.rawFramesC
 	e.mu.Unlock()
 
 	// Round-robin 2 MiB region sharding, as the transfer threads do:
@@ -201,28 +177,16 @@ func (e *Encoder) Encode(mem *memory.GuestMemory, pages []memory.PageNum,
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			out[s] = e.encodeShard(mem, baseline, parts[s])
+			out[s] = framePages(mem, base, aware, parts[s])
 		}(s)
 	}
 	wg.Wait()
 
-	cp := &Checkpoint{Seq: seq}
 	stream := appendHeader(nil)
 	var stats Stats
-	var holePages int64
 	for s := range out {
 		stream = append(stream, out[s].buf...)
 		stats.Add(out[s].stats)
-		holePages += out[s].hole
-	}
-	if e.contentAware {
-		e.mu.Lock()
-		for _, sf := range out {
-			for n, b := range sf.staged {
-				e.staged[n] = b
-			}
-		}
-		e.mu.Unlock()
 	}
 
 	var scratch []byte
@@ -251,15 +215,12 @@ func (e *Encoder) Encode(mem *memory.GuestMemory, pages []memory.PageNum,
 
 	stats.RawBytes = int64(len(pages))*memory.PageSize + int64(len(state)) +
 		int64(len(disk))*SectorSize
-	stats.EncodedBytes = int64(len(stream)) + holePages*memory.PageSize
+	stats.EncodedBytes = int64(len(stream))
+	if !aware {
+		// Raw mode ships the literal zeros; charge them.
+		stats.EncodedBytes += stats.ZeroPages * memory.PageSize
+	}
 	stats.EncodeTime = time.Since(start)
-	cp.Stream = stream
-	cp.WireSize = stats.EncodedBytes
-	cp.Stats = stats
-	e.mu.Lock()
-	rawB, encB, zeroP, deltaF, rawF :=
-		e.rawBytesC, e.encodedBytesC, e.zeroPagesC, e.deltaFramesC, e.rawFramesC
-	e.mu.Unlock()
 	if rawB != nil {
 		rawB.Add(stats.RawBytes)
 		encB.Add(stats.EncodedBytes)
@@ -267,121 +228,51 @@ func (e *Encoder) Encode(mem *memory.GuestMemory, pages []memory.PageNum,
 		deltaF.Add(stats.DeltaFrames)
 		rawF.Add(stats.RawFrames)
 	}
-	return cp, nil
-}
-
-// EncodeOverwrite frames one checkpoint as overwrite-only content —
-// zero-run and raw frames, never deltas — regardless of the encoder's
-// mode, without touching the staged/baseline bookkeeping. This is the
-// remote-ahead resync stream: after a lost acknowledgement the replica
-// may hold an epoch the local baseline does not describe (it applied a
-// checkpoint whose ack never arrived), so XOR deltas computed against
-// the local baseline would corrupt it. Overwrite frames are correct
-// against any replica content. Once the stream is acknowledged and
-// applied locally, call Prime to rebuild the baseline from the
-// converged replica memory.
-func (e *Encoder) EncodeOverwrite(mem *memory.GuestMemory, pages []memory.PageNum,
-	state []byte, disk []DiskWrite, seq uint64) (*Checkpoint, error) {
-
-	start := time.Now()
-	if mem == nil {
-		return nil, fmt.Errorf("wire: encode: nil memory")
-	}
-	for _, p := range pages {
-		if p >= mem.NumPages() {
-			return nil, fmt.Errorf("wire: encode: page %d beyond memory (%d pages)",
-				p, mem.NumPages())
-		}
-	}
-
-	var stats Stats
-	stream := appendHeader(nil)
-	var (
-		buf      [memory.PageSize]byte
-		payload  []byte
-		runStart memory.PageNum
-		runLen   uint32
-	)
-	flushRun := func() {
-		if runLen == 0 {
-			return
-		}
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(runStart))
-		payload = binary.LittleEndian.AppendUint32(payload, runLen)
-		stream = appendFrame(stream, frameZeroRun, payload)
-		stats.ZeroFrames++
-		stats.ZeroPages += int64(runLen)
-		runLen = 0
-	}
-	seen := make(map[memory.PageNum]struct{}, len(pages))
-	for _, p := range pages {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		zero := !mem.Populated(p)
-		if !zero {
-			_ = mem.ReadPage(p, buf[:])
-			zero = allZero(buf[:])
-		}
-		if zero {
-			if runLen > 0 && p == runStart+memory.PageNum(runLen) {
-				runLen++
-			} else {
-				flushRun()
-				runStart, runLen = p, 1
-			}
-			continue
-		}
-		flushRun()
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(p))
-		payload = append(payload, buf[:]...)
-		stream = appendFrame(stream, frameRaw, payload)
-		stats.RawFrames++
-	}
-	flushRun()
-
-	var scratch []byte
-	for _, w := range disk {
-		if len(w.Data) != SectorSize {
-			return nil, fmt.Errorf("wire: encode: disk write of %d bytes", len(w.Data))
-		}
-		scratch = scratch[:0]
-		scratch = binary.LittleEndian.AppendUint64(scratch, w.Sector)
-		scratch = append(scratch, w.Data...)
-		stream = appendFrame(stream, frameDisk, scratch)
-		stats.DiskFrames++
-	}
-	if state != nil {
-		stream = appendFrame(stream, frameState, state)
-		stats.StateFrames++
-	}
-	commit := make([]byte, 0, commitPayloadSize)
-	commit = binary.LittleEndian.AppendUint64(commit, seq)
-	commit = binary.LittleEndian.AppendUint64(commit,
-		uint64(stats.ZeroPages)+uint64(stats.RawFrames))
-	commit = binary.LittleEndian.AppendUint32(commit, uint32(stats.DiskFrames))
-	commit = binary.LittleEndian.AppendUint32(commit, uint32(stats.StateFrames))
-	stream = appendFrame(stream, frameCommit, commit)
-
-	stats.RawBytes = int64(len(seen))*memory.PageSize + int64(len(state)) +
-		int64(len(disk))*SectorSize
-	stats.EncodedBytes = int64(len(stream))
-	stats.EncodeTime = time.Since(start)
 	return &Checkpoint{Seq: seq, Stream: stream, WireSize: stats.EncodedBytes, Stats: stats}, nil
 }
 
-// encodeShard frames one worker's pages.
-func (e *Encoder) encodeShard(mem *memory.GuestMemory,
-	baseline map[memory.PageNum][]byte, pages []memory.PageNum) shardFrames {
-
-	sf := shardFrames{}
-	if e.contentAware {
-		sf.staged = make(map[memory.PageNum][]byte)
+// uniquePages checks every page against the memory size and drops
+// repeats, keeping first occurrences: a page frames at most once per
+// checkpoint in every mode. Dirty sets arrive ascending
+// (DirtyBitmap.Snapshot / Peek), which the range check notices in the
+// same pass; only an unordered list pays for a seen-bitmap and a copy.
+func uniquePages(pages []memory.PageNum, numPages memory.PageNum) ([]memory.PageNum, error) {
+	ascending := true
+	for i, p := range pages {
+		if p >= numPages {
+			return nil, fmt.Errorf("wire: encode: page %d beyond memory (%d pages)", p, numPages)
+		}
+		if i > 0 && p <= pages[i-1] {
+			ascending = false
+		}
 	}
+	if ascending {
+		return pages, nil
+	}
+	seen := memory.NewDirtyBitmap(numPages)
+	out := make([]memory.PageNum, 0, len(pages))
+	for _, p := range pages {
+		if !seen.Test(p) {
+			seen.Set(p)
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
+// shardFrames is one worker's output.
+type shardFrames struct {
+	buf   []byte
+	stats Stats
+}
+
+// framePages is the one page framer: it frames one worker's pages of
+// mem, already range-checked and free of repeats. aware finds zero
+// pages by content (otherwise only never-populated pages count); a
+// non-nil base allows delta frames, XORed against base's current page.
+func framePages(mem, base *memory.GuestMemory, aware bool, pages []memory.PageNum) shardFrames {
 	var (
+		sf       shardFrames
 		buf      [memory.PageSize]byte
 		residual [memory.PageSize]byte
 		payload  []byte
@@ -399,25 +290,14 @@ func (e *Encoder) encodeShard(mem *memory.GuestMemory,
 		sf.buf = appendFrame(sf.buf, frameZeroRun, payload)
 		sf.stats.ZeroFrames++
 		sf.stats.ZeroPages += int64(runLen)
-		if !e.contentAware {
-			// Raw mode ships the literal zeros; charge them.
-			sf.hole += int64(runLen)
-		}
 		runLen = 0
 	}
 
 	for _, p := range pages {
-		if sf.staged != nil {
-			if _, dup := sf.staged[p]; dup {
-				continue // a page encodes at most once per checkpoint
-			}
-		}
 		zero := !mem.Populated(p)
 		if !zero {
-			_ = mem.ReadPage(p, buf[:])
-			if e.contentAware && allZero(buf[:]) {
-				zero = true // populated but re-zeroed byte-wise
-			}
+			_ = mem.ReadPage(p, buf[:]) // p is in range, buf is a page
+			zero = aware && allZero(buf[:])
 		}
 		if zero {
 			if runLen > 0 && p == runStart+memory.PageNum(runLen) {
@@ -426,81 +306,33 @@ func (e *Encoder) encodeShard(mem *memory.GuestMemory,
 				flushRun()
 				runStart, runLen = p, 1
 			}
-			if sf.staged != nil {
-				sf.staged[p] = nil
-			}
 			continue
 		}
 		flushRun()
-		if !e.contentAware {
-			payload = payload[:0]
-			payload = binary.LittleEndian.AppendUint64(payload, uint64(p))
-			payload = append(payload, buf[:]...)
-			sf.buf = appendFrame(sf.buf, frameRaw, payload)
-			sf.stats.RawFrames++
-			continue
-		}
-		// Content-aware: XOR against the last acked image (a missing
-		// baseline is an implicit zero page, so first-time sparse
-		// content still deltas well) and fall back to raw when the
-		// residual does not pay.
-		base := baseline[p]
-		if base == nil {
-			copy(residual[:], buf[:])
-		} else {
+		typ, body := frameRaw, buf[:]
+		if base != nil {
+			// XOR against the page the replica holds (an unpopulated one
+			// reads as zeros, so first-time sparse content still deltas
+			// well) and fall back to raw when the residual does not pay.
+			if base.ReadPage(p, residual[:]) != nil {
+				clear(residual[:]) // a page the replica lacks
+			}
 			for i := range residual {
-				residual[i] = buf[i] ^ base[i]
+				residual[i] ^= buf[i]
+			}
+			if rle = rleEncode(rle[:0], residual[:]); len(rle) < memory.PageSize {
+				typ, body = frameDelta, rle
 			}
 		}
-		rle = rleEncode(rle[:0], residual[:])
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(p))
-		if len(rle) < memory.PageSize {
-			payload = append(payload, rle...)
-			sf.buf = appendFrame(sf.buf, frameDelta, payload)
+		payload = binary.LittleEndian.AppendUint64(payload[:0], uint64(p))
+		payload = append(payload, body...)
+		sf.buf = appendFrame(sf.buf, typ, payload)
+		if typ == frameDelta {
 			sf.stats.DeltaFrames++
 		} else {
-			payload = append(payload, buf[:]...)
-			sf.buf = appendFrame(sf.buf, frameRaw, payload)
 			sf.stats.RawFrames++
 		}
-		img := make([]byte, memory.PageSize)
-		copy(img, buf[:])
-		sf.staged[p] = img
 	}
 	flushRun()
 	return sf
-}
-
-// Commit promotes the staged page images into the baseline: the
-// encoded checkpoint was acknowledged and is now the epoch the replica
-// holds. A no-op in raw mode.
-func (e *Encoder) Commit() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for p, img := range e.staged {
-		old, had := e.baseline[p]
-		if img == nil {
-			if had {
-				e.baseSize -= int64(len(old))
-				delete(e.baseline, p)
-			}
-			continue
-		}
-		if !had {
-			e.baseSize += int64(len(img))
-		}
-		e.baseline[p] = img
-	}
-	e.staged = make(map[memory.PageNum][]byte)
-}
-
-// Rollback discards the staged page images: the encoded checkpoint was
-// abandoned (transfer or ack lost beyond the retry budget), the
-// replica still holds the previous epoch, and the next cycle's deltas
-// must diff against that epoch — never against un-acked content.
-func (e *Encoder) Rollback() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.staged = make(map[memory.PageNum][]byte)
 }

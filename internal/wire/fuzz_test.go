@@ -15,6 +15,10 @@ func fuzzStream(f *testing.F) []byte {
 	f.Helper()
 	enc := NewEncoder(true)
 	src := memory.NewGuestMemory(64 * memory.PageSize)
+	dst := memory.NewGuestMemory(64 * memory.PageSize)
+	if err := enc.Prime(dst); err != nil {
+		f.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(11))
 	var buf [memory.PageSize]byte
 	for i := range buf {
@@ -27,7 +31,9 @@ func fuzzStream(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc.Commit()
+	if _, err := Decode(cp.Stream, dst); err != nil {
+		f.Fatal(err)
+	}
 	buf[17] ^= 0xF0
 	if err := src.WritePage(3, buf[:]); err != nil {
 		f.Fatal(err)

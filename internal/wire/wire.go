@@ -24,9 +24,10 @@
 //	                                          sparse representation makes
 //	                                          the test O(1)); consecutive
 //	                                          zero pages coalesce
-//	delta     u64 page | RLE bytes            XOR delta against the last
-//	                                          *acked* epoch's page image,
-//	                                          run-length encoded
+//	delta     u64 page | RLE bytes            XOR delta against the page
+//	                                          the replica holds (the last
+//	                                          *acked* epoch), run-length
+//	                                          encoded
 //	raw       u64 page | PageSize bytes       verbatim content, the
 //	                                          fallback when delta does
 //	                                          not pay

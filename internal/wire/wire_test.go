@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/here-ft/here/internal/memory"
@@ -63,8 +64,19 @@ func mutate(t *testing.T, rng *rand.Rand, src *memory.GuestMemory) []memory.Page
 	return dirty
 }
 
-// roundTrip encodes the dirty set on src and decodes into dst,
-// committing the baseline, and fails the test on any error.
+// newEncoder returns an encoder bound to dst, the replica its streams
+// are decoded into.
+func newEncoder(t *testing.T, contentAware bool, dst *memory.GuestMemory) *Encoder {
+	t.Helper()
+	enc := NewEncoder(contentAware)
+	if err := enc.Prime(dst); err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// roundTrip encodes the dirty set on src and decodes into dst — the
+// acknowledged checkpoint — and fails the test on any error.
 func roundTrip(t *testing.T, enc *Encoder, src, dst *memory.GuestMemory,
 	dirty []memory.PageNum, seq uint64, shards int) (*Checkpoint, *Result) {
 	t.Helper()
@@ -76,7 +88,6 @@ func roundTrip(t *testing.T, enc *Encoder, src, dst *memory.GuestMemory,
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	enc.Commit()
 	return cp, res
 }
 
@@ -88,8 +99,8 @@ func TestRoundTripReproducesMemory(t *testing.T) {
 	for _, contentAware := range []bool{false, true} {
 		for _, shards := range []int{1, 3, 8} {
 			rng := rand.New(rand.NewSource(int64(shards) + 100))
-			enc := NewEncoder(contentAware)
 			src, dst := newMem(), newMem()
+			enc := newEncoder(t, contentAware, dst)
 			for epoch := 0; epoch < 12; epoch++ {
 				dirty := mutate(t, rng, src)
 				cp, res := roundTrip(t, enc, src, dst, dirty, uint64(epoch), shards)
@@ -110,9 +121,6 @@ func TestRoundTripReproducesMemory(t *testing.T) {
 						got, len(dirty))
 				}
 			}
-			if !contentAware && enc.BaselinePages() != 0 {
-				t.Fatalf("raw mode grew a baseline cache: %d pages", enc.BaselinePages())
-			}
 		}
 	}
 }
@@ -121,8 +129,8 @@ func TestRoundTripReproducesMemory(t *testing.T) {
 // or lightly-edited dirty set encodes to far fewer bytes than its raw
 // size, via zero-run and delta frames.
 func TestContentAwareEncodesSmall(t *testing.T) {
-	enc := NewEncoder(true)
 	src, dst := newMem(), newMem()
+	enc := newEncoder(t, true, dst)
 	rng := rand.New(rand.NewSource(7))
 
 	// Epoch 0: 1000 touched-but-zero pages and 10 content pages.
@@ -182,8 +190,8 @@ func TestContentAwareEncodesSmall(t *testing.T) {
 // stream still coalesces zero pages into run frames, but the link is
 // charged PageSize per page as an unencoded stream would be.
 func TestRawModeChargesFullPages(t *testing.T) {
-	enc := NewEncoder(false)
 	src, dst := newMem(), newMem()
+	enc := newEncoder(t, false, dst)
 	dirty := []memory.PageNum{0, 1, 2, 3, 4}
 	cp, _ := roundTrip(t, enc, src, dst, dirty, 0, 2)
 	if cp.WireSize < 5*memory.PageSize {
@@ -194,13 +202,14 @@ func TestRawModeChargesFullPages(t *testing.T) {
 	}
 }
 
-// TestRollbackKeepsBaseline checks the baseline lifecycle: a rolled-
-// back encode must not advance the delta baseline, so the next encode
-// still diffs against the last committed epoch and the replica decodes
-// to the source exactly.
+// TestRollbackKeepsBaseline checks that an abandoned checkpoint costs
+// the codec nothing: a stream that is encoded but never decoded leaves
+// the replica — the delta baseline — untouched, so the next encode
+// still diffs against the last acknowledged epoch and the replica
+// decodes to the source exactly.
 func TestRollbackKeepsBaseline(t *testing.T) {
-	enc := NewEncoder(true)
 	src, dst := newMem(), newMem()
+	enc := newEncoder(t, true, dst)
 	var buf [memory.PageSize]byte
 	rng := rand.New(rand.NewSource(3))
 	randomPage(rng, buf[:])
@@ -208,9 +217,9 @@ func TestRollbackKeepsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, enc, src, dst, []memory.PageNum{42}, 0, 1)
-	base := enc.BaselinePages()
+	acked := dst.Hash()
 
-	// Mutate and encode, but abandon the checkpoint.
+	// Mutate and encode, but abandon the checkpoint: no decode.
 	buf[0] ^= 0xAA
 	if err := src.WritePage(42, buf[:]); err != nil {
 		t.Fatal(err)
@@ -218,9 +227,8 @@ func TestRollbackKeepsBaseline(t *testing.T) {
 	if _, err := enc.Encode(src, []memory.PageNum{42}, nil, nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	enc.Rollback()
-	if enc.BaselinePages() != base {
-		t.Fatalf("baseline changed across rollback: %d -> %d", base, enc.BaselinePages())
+	if dst.Hash() != acked {
+		t.Fatal("encoding touched the replica")
 	}
 
 	// Mutate again; the re-encode must diff against epoch 0's image,
@@ -231,39 +239,159 @@ func TestRollbackKeepsBaseline(t *testing.T) {
 	}
 	cp, _ := roundTrip(t, enc, src, dst, []memory.PageNum{42}, 2, 1)
 	if cp.Stats.DeltaFrames != 1 {
-		t.Fatalf("want a delta frame after rollback, got %+v", cp.Stats)
+		t.Fatalf("want a delta frame after the abandoned encode, got %+v", cp.Stats)
 	}
 	if src.Hash() != dst.Hash() {
-		t.Fatal("replica diverged after rollback/re-encode")
+		t.Fatal("replica diverged after abandon/re-encode")
 	}
 }
 
-// TestCommitDropsRezeroedBaseline checks that a page going all-zero
-// evicts its baseline image on commit (the cache must not hold images
-// the replica no longer has as content).
-func TestCommitDropsRezeroedBaseline(t *testing.T) {
-	enc := NewEncoder(true)
+// TestRezeroedPageRoundTrips checks a page going all-zero and coming
+// back: the zero run drops the replica's page, and the next content on
+// it deltas against the implicit zero page, not the old image.
+func TestRezeroedPageRoundTrips(t *testing.T) {
 	src, dst := newMem(), newMem()
+	enc := newEncoder(t, true, dst)
 	var buf [memory.PageSize]byte
 	buf[10] = 1
 	if err := src.WritePage(5, buf[:]); err != nil {
 		t.Fatal(err)
 	}
 	roundTrip(t, enc, src, dst, []memory.PageNum{5}, 0, 1)
-	if enc.BaselinePages() != 1 {
-		t.Fatalf("baseline = %d pages, want 1", enc.BaselinePages())
-	}
 	clear(buf[:])
 	if err := src.WritePage(5, buf[:]); err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(t, enc, src, dst, []memory.PageNum{5}, 1, 1)
-	if enc.BaselinePages() != 0 || enc.BaselineBytes() != 0 {
-		t.Fatalf("re-zeroed page kept its baseline: %d pages, %d bytes",
-			enc.BaselinePages(), enc.BaselineBytes())
+	cp, _ := roundTrip(t, enc, src, dst, []memory.PageNum{5}, 1, 1)
+	if cp.Stats.ZeroPages != 1 || dst.Populated(5) {
+		t.Fatalf("re-zeroed page kept its replica image: stats %+v, populated %v",
+			cp.Stats, dst.Populated(5))
+	}
+	buf[20] = 2
+	if err := src.WritePage(5, buf[:]); err != nil {
+		t.Fatal(err)
+	}
+	cp, _ = roundTrip(t, enc, src, dst, []memory.PageNum{5}, 2, 1)
+	if cp.Stats.DeltaFrames != 1 {
+		t.Fatalf("sparse content on a zero page should delta, got %+v", cp.Stats)
 	}
 	if src.Hash() != dst.Hash() {
 		t.Fatal("replica diverged")
+	}
+}
+
+// TestDuplicatePagesFrameOnce checks the one duplicate-page rule: a
+// page listed twice is framed and counted once in every mode, in the
+// order of first occurrence, and the replica still converges.
+func TestDuplicatePagesFrameOnce(t *testing.T) {
+	pages := []memory.PageNum{7, 3, 7, 600, 3, 4, 600}
+	const unique = 4 // 7, 3, 600, 4
+	for _, tc := range []struct {
+		name                     string
+		contentAware, overwrite  bool
+		zero, delta, raw, encMin int64
+	}{
+		// Page 4 is never populated; 3 and 7 hold sparse content, 600 random.
+		{name: "raw", zero: 1, raw: 3, encMin: 4 * memory.PageSize},
+		{name: "content-aware", contentAware: true, zero: 1, delta: 2, raw: 1},
+		{name: "overwrite", contentAware: true, overwrite: true, zero: 1, raw: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := newMem(), newMem()
+			enc := newEncoder(t, tc.contentAware, dst)
+			var buf [memory.PageSize]byte
+			for _, p := range []memory.PageNum{3, 7} {
+				buf[int(p)] = byte(p)
+				if err := src.WritePage(p, buf[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			randomPage(rand.New(rand.NewSource(9)), buf[:])
+			if err := src.WritePage(600, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+			var (
+				cp  *Checkpoint
+				err error
+			)
+			if tc.overwrite {
+				cp, err = enc.EncodeOverwrite(src, pages, nil, nil, 0)
+			} else {
+				cp, err = enc.Encode(src, pages, nil, nil, 0, 2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := cp.Stats
+			if st.ZeroPages != tc.zero || st.DeltaFrames != tc.delta || st.RawFrames != tc.raw {
+				t.Fatalf("frame mix = %+v, want %d zero / %d delta / %d raw", st, tc.zero, tc.delta, tc.raw)
+			}
+			if st.RawBytes != unique*memory.PageSize {
+				t.Fatalf("RawBytes = %d, want %d pages", st.RawBytes, unique)
+			}
+			if st.EncodedBytes < tc.encMin || st.EncodedBytes > (unique+1)*memory.PageSize {
+				t.Fatalf("EncodedBytes = %d: a repeat was charged", st.EncodedBytes)
+			}
+			res, err := Decode(cp.Stream, dst)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if res.Pages != unique {
+				t.Fatalf("commit frame counts %d pages, want %d", res.Pages, unique)
+			}
+			if src.Hash() != dst.Hash() {
+				t.Fatal("replica diverged")
+			}
+		})
+	}
+}
+
+// TestUnboundEncoderNeverDeltas checks the safe default: without a
+// replica bound by Prime there is nothing known to diff against, so a
+// content-aware encoder ships overwrite-safe frames only.
+func TestUnboundEncoderNeverDeltas(t *testing.T) {
+	enc := NewEncoder(true)
+	src, dst := newMem(), newMem()
+	var buf [memory.PageSize]byte
+	buf[1] = 1
+	for epoch := uint64(0); epoch < 2; epoch++ {
+		buf[2] = byte(epoch)
+		if err := src.WritePage(8, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		cp, _ := roundTrip(t, enc, src, dst, []memory.PageNum{8}, epoch, 1)
+		if cp.Stats.DeltaFrames != 0 || cp.Stats.RawFrames != 1 {
+			t.Fatalf("epoch %d: frame mix = %+v, want one raw frame", epoch, cp.Stats)
+		}
+		if src.Hash() != dst.Hash() {
+			t.Fatalf("epoch %d: replica diverged", epoch)
+		}
+	}
+}
+
+// TestPrimeCopiesNoPage checks that binding a replica is O(1): priming
+// from a fully populated 64 MiB memory allocates next to nothing.
+func TestPrimeCopiesNoPage(t *testing.T) {
+	mem := memory.NewGuestMemory(64 << 20)
+	var buf [memory.PageSize]byte
+	buf[0] = 1
+	for p := memory.PageNum(0); p < mem.NumPages(); p++ {
+		if err := mem.WritePage(p, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := NewEncoder(true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := enc.Prime(mem); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
+		t.Fatalf("Prime allocated %d bytes, want < 1 kB", got)
+	}
+	if err := enc.Prime(nil); err == nil {
+		t.Fatal("nil replica accepted")
 	}
 }
 
