@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke bench-smoke
+check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,16 @@ fuzz-smoke:
 # checks. Everything it writes stays under bench/out/.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && bash run.sh -smoke
+
+# Per-layer benchmark of the TCP transport: one checkpoint stream of
+# 64 KiB / 8 MiB / 64 MiB over loopback to a real Server, MB/s and B/op
+# (both ends share the process). bench-transport-smoke runs each size
+# once, in `make check` and CI, so the benchmark cannot rot.
+bench-transport:
+	$(GO) test -run '^$$' -bench SendCheckpoint -benchmem ./internal/transport
+
+bench-transport-smoke:
+	$(GO) test -run '^$$' -bench SendCheckpoint -benchmem -benchtime=1x ./internal/transport
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
 # checked-in BENCH_wire.json and BENCH_trace.json baselines. The wire

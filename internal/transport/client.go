@@ -239,15 +239,16 @@ func (c *Client) connect() error {
 		h.AckedSeq = acked + 1
 	}
 	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	if err := writeMsg(conn, msgHello, encodeHello(h)); err != nil {
+	if err := writeMsg(conn, msgHello, nil, encodeHello(h)); err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: sending hello: %w", err)
 	}
-	typ, payload, err := readMsg(conn)
+	typ, payload, _, err := readMsg(conn)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("transport: reading handshake reply: %w", err)
 	}
+	defer putPayload(payload) // the welcome and the reject error are decoded by value
 	conn.SetDeadline(time.Time{})
 	switch typ {
 	case msgWelcome:
@@ -308,7 +309,7 @@ func (c *Client) connect() error {
 func (c *Client) readLoop(sess *session) {
 	defer c.wg.Done()
 	for {
-		typ, payload, err := readMsg(sess.conn)
+		typ, payload, _, err := readMsg(sess.conn)
 		if err != nil {
 			c.sessionDied(sess, "read: "+err.Error())
 			return
@@ -343,6 +344,7 @@ func (c *Client) readLoop(sess *session) {
 			c.sessionDied(sess, fmt.Sprintf("unexpected message 0x%02x", typ))
 			return
 		}
+		putPayload(payload) // every case above decoded it by value
 	}
 }
 
@@ -375,7 +377,7 @@ func (c *Client) keepalive(sess *session) {
 		}
 		start := time.Now()
 		sess.writeMu.Lock()
-		err := writeMsg(sess.conn, msgPing, u64payload(seq))
+		err := writeMsg(sess.conn, msgPing, nil, u64payload(seq))
 		sess.writeMu.Unlock()
 		if err != nil {
 			c.sessionDied(sess, "writing ping: "+err.Error())
@@ -501,6 +503,10 @@ func (c *Client) reconnectLoop() {
 
 // send ships one stream and waits for its acknowledgement.
 func (c *Client) send(typ byte, seq uint64, stream []byte) error {
+	ctx := streamCtx{Seq: seq, Gen: c.cfg.Generation, SpanID: c.traceID ^ seq}
+	if _, err := msgLen(&ctx, len(stream)); err != nil {
+		return err // permanent whatever the connection's state; no byte written
+	}
 	c.mu.Lock()
 	sess := c.sess
 	perm := c.permErr
@@ -522,9 +528,8 @@ func (c *Client) send(typ byte, seq uint64, stream []byte) error {
 	default:
 	}
 
-	ctx := streamCtx{Seq: seq, Gen: c.cfg.Generation, SpanID: c.traceID ^ seq}
 	sess.writeMu.Lock()
-	err := writeMsg(sess.conn, typ, encodeStream(ctx, stream))
+	err := writeMsg(sess.conn, typ, &ctx, stream)
 	sess.writeMu.Unlock()
 	if err != nil {
 		c.sessionDied(sess, "write: "+err.Error())
@@ -627,7 +632,7 @@ func (c *Client) Transfer(bytes int64, streams int) (time.Duration, error) {
 	sess.mu.Unlock()
 	start := time.Now()
 	sess.writeMu.Lock()
-	err := writeMsg(sess.conn, msgPing, u64payload(seq))
+	err := writeMsg(sess.conn, msgPing, nil, u64payload(seq))
 	sess.writeMu.Unlock()
 	if err != nil {
 		c.sessionDied(sess, "write: "+err.Error())

@@ -247,7 +247,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
 
-	typ, payload, err := readMsg(conn)
+	typ, payload, _, err := readMsg(conn)
 	if err != nil {
 		s.cfg.Logf("transport: %s: reading hello: %v", remote, err)
 		return
@@ -257,6 +257,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	h, err := decodeHello(payload)
+	putPayload(payload) // the hello is decoded by value, its name copied
 	if err != nil {
 		s.reject(conn, rejectBadHello, err.Error())
 		return
@@ -331,7 +332,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	r.mu.Unlock()
 
-	if err := writeMsg(conn, msgWelcome, encodeWelcome(w)); err != nil {
+	if err := writeMsg(conn, msgWelcome, nil, encodeWelcome(w)); err != nil {
 		s.dropConn(r, conn, "writing welcome: "+err.Error())
 		return
 	}
@@ -361,7 +362,7 @@ func (s *Server) fence(conn net.Conn, remote string, h hello, current uint64) {
 }
 
 func (s *Server) reject(conn net.Conn, code uint16, msg string) {
-	writeMsg(conn, msgReject, encodeReject(code, msg))
+	writeMsg(conn, msgReject, nil, encodeReject(code, msg))
 }
 
 // dropConn records the loss of an active connection if conn still owns
@@ -386,10 +387,12 @@ func (s *Server) dropConn(r *replica, conn net.Conn, reason string) {
 	s.cfg.Logf("transport: connection lost: %s", reason)
 }
 
-// serveConn runs the post-handshake message loop.
+// serveConn runs the post-handshake message loop. A received payload is
+// valid until serveMsg returns — apply copies what it keeps — and then
+// goes back to the pool for the next message of its size.
 func (s *Server) serveConn(r *replica, conn net.Conn, protection string) {
 	for {
-		typ, payload, recvDur, err := readMsgTimed(conn)
+		typ, payload, recvDur, err := readMsg(conn)
 		if err != nil {
 			reason := err.Error()
 			if errors.Is(err, io.EOF) {
@@ -398,42 +401,53 @@ func (s *Server) serveConn(r *replica, conn net.Conn, protection string) {
 			s.dropConn(r, conn, protection+": "+reason)
 			return
 		}
-		switch typ {
-		case msgPing:
-			if err := writeMsg(conn, msgPong, payload); err != nil {
-				s.dropConn(r, conn, protection+": writing pong: "+err.Error())
-				return
-			}
-		case msgCheckpoint, msgSeed:
-			ctx, stream, err := decodeStream(payload)
-			if err != nil {
-				s.fail(r, conn, protection, err)
-				return
-			}
-			decodeDur, applyDur, err := s.apply(r, typ, protection, ctx.Seq, stream)
-			if err != nil {
-				s.fail(r, conn, protection, err)
-				return
-			}
-			ackStart := time.Now()
-			s.span(trace.SpanRemoteRecv, ctx.Seq, recvDur, protection, int64(len(payload)))
-			s.span(trace.SpanRemoteDecode, ctx.Seq, decodeDur, protection, int64(len(stream)))
-			s.span(trace.SpanRemoteApply, ctx.Seq, applyDur, protection, 0)
-			st := ackStages{Recv: recvDur, Decode: decodeDur, Apply: applyDur, Ack: time.Since(ackStart)}
-			if err := writeMsg(conn, msgAck, encodeAck(ctx.Seq, ctx.SpanID, st)); err != nil {
-				s.dropConn(r, conn, protection+": writing ack: "+err.Error())
-				return
-			}
-			s.span(trace.SpanRemoteAck, ctx.Seq, time.Since(ackStart), protection, 0)
-			s.mAcks.Inc()
-		case msgError:
-			s.dropConn(r, conn, protection+": peer error: "+string(payload))
-			return
-		default:
-			s.fail(r, conn, protection, fmt.Errorf("transport: unexpected message 0x%02x", typ))
+		ok := s.serveMsg(r, conn, protection, typ, payload, recvDur)
+		putPayload(payload)
+		if !ok {
 			return
 		}
 	}
+}
+
+// serveMsg handles one message and reports whether the connection
+// stays up.
+func (s *Server) serveMsg(r *replica, conn net.Conn, protection string, typ byte, payload []byte, recvDur time.Duration) bool {
+	switch typ {
+	case msgPing:
+		if err := writeMsg(conn, msgPong, nil, payload); err != nil {
+			s.dropConn(r, conn, protection+": writing pong: "+err.Error())
+			return false
+		}
+	case msgCheckpoint, msgSeed:
+		ctx, stream, err := decodeStream(payload)
+		if err != nil {
+			s.fail(r, conn, protection, err)
+			return false
+		}
+		decodeDur, applyDur, err := s.apply(r, typ, protection, ctx.Seq, stream)
+		if err != nil {
+			s.fail(r, conn, protection, err)
+			return false
+		}
+		ackStart := time.Now()
+		s.span(trace.SpanRemoteRecv, ctx.Seq, recvDur, protection, int64(len(payload)))
+		s.span(trace.SpanRemoteDecode, ctx.Seq, decodeDur, protection, int64(len(stream)))
+		s.span(trace.SpanRemoteApply, ctx.Seq, applyDur, protection, 0)
+		st := ackStages{Recv: recvDur, Decode: decodeDur, Apply: applyDur, Ack: time.Since(ackStart)}
+		if err := writeMsg(conn, msgAck, nil, encodeAck(ctx.Seq, ctx.SpanID, st)); err != nil {
+			s.dropConn(r, conn, protection+": writing ack: "+err.Error())
+			return false
+		}
+		s.span(trace.SpanRemoteAck, ctx.Seq, time.Since(ackStart), protection, 0)
+		s.mAcks.Inc()
+	case msgError:
+		s.dropConn(r, conn, protection+": peer error: "+string(payload))
+		return false
+	default:
+		s.fail(r, conn, protection, fmt.Errorf("transport: unexpected message 0x%02x", typ))
+		return false
+	}
+	return true
 }
 
 // span records one secondary-side stage span into the server's tracer.
@@ -456,10 +470,12 @@ func (s *Server) span(kind trace.Kind, seq uint64, dur time.Duration, protection
 }
 
 // fail reports a protocol or decode error to the peer and drops the
-// connection. wire.Decode validates before applying, so replica memory
-// is untouched by the rejected stream.
+// connection. apply refuses a stream before its first page is written
+// (the envelope's epoch is checked against the commit frame up front,
+// wire.Decode validates before applying), so replica memory and the
+// acknowledged epoch are untouched by the rejected stream.
 func (s *Server) fail(r *replica, conn net.Conn, protection string, err error) {
-	writeMsg(conn, msgError, []byte(err.Error()))
+	writeMsg(conn, msgError, nil, []byte(err.Error()))
 	s.dropConn(r, conn, protection+": "+err.Error())
 }
 
@@ -467,19 +483,27 @@ func (s *Server) fail(r *replica, conn net.Conn, protection string, err error) {
 // and state-install durations separately. A checkpoint advances the
 // acknowledged epoch; a seeding round resets it — the seed image is a
 // fresh baseline and prior checkpoint acks no longer describe it.
+//
+// stream belongs to the caller and is reused for the next message: what
+// outlives the call (the state record here, pages and disk payloads in
+// wire.Decode) is copied out of it.
 func (s *Server) apply(r *replica, typ byte, protection string, seq uint64, stream []byte) (decodeDur, applyDur time.Duration, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	decodeStart := time.Now()
+	// Decode seals the replica to whatever epoch the commit frame names,
+	// so an envelope that disagrees with it is refused before the first
+	// page is written. A stream with no readable commit frame falls
+	// through: Decode rejects it, untouched too, with the exact reason.
+	if got, err := wire.CommitSeq(stream); err == nil && got != seq {
+		return 0, 0, fmt.Errorf("transport: stream seq %d, message says %d", got, seq)
+	}
 	res, err := wire.Decode(stream, r.mem)
 	decodeDur = time.Since(decodeStart)
 	if err != nil {
 		return decodeDur, 0, err
 	}
 	applyStart := time.Now()
-	if res.Seq != seq {
-		return decodeDur, 0, fmt.Errorf("transport: stream seq %d, message says %d", res.Seq, seq)
-	}
 	if res.State != nil {
 		r.state = res.State
 	}

@@ -23,7 +23,11 @@
 //     length-prefixed messages: checkpoint and seed streams (the framed
 //     internal/wire bytes, applied by the server with wire.Decode and
 //     acknowledged per epoch), pings/pongs for keepalive, and a fatal
-//     error message.
+//     error message. A stream is not copied on its way: the sender
+//     writes the caller's bytes in place behind a small header
+//     (writeMsg), the receiver reads them into a pooled buffer that is
+//     valid until apply returns and then serves the next message
+//     (readMsg, putPayload) — apply copies what it keeps.
 //
 //   - Keepalive and reconnect. The client pings on a configurable
 //     interval; a configurable number of consecutively missed pongs
@@ -47,6 +51,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"net"
+	"sync"
 	"time"
 
 	"github.com/here-ft/here/internal/wire"
@@ -119,11 +126,15 @@ var (
 	// acknowledged within the configured deadline; the connection is
 	// torn down because the stream boundary is no longer trustworthy.
 	ErrAckTimeout = errors.New("transport: acknowledgement timed out")
+	// ErrStreamTooLarge is returned, before a byte is written, for a
+	// stream the message framing cannot carry (over maxMessage, 1 GiB).
+	// Permanent — resending the same stream cannot help.
+	ErrStreamTooLarge = errors.New("transport: stream exceeds the message size limit")
 )
 
-// permanentError wraps a handshake failure that no amount of
-// reconnecting can cure (fencing, version mismatch). replication's
-// retry machinery asks for it via the anonymous
+// permanentError wraps a failure that no amount of reconnecting or
+// resending can cure (fencing, version mismatch, an oversize stream).
+// replication's retry machinery asks for it via the anonymous
 // interface{ Permanent() bool } so the packages stay decoupled.
 type permanentError struct{ err error }
 
@@ -191,44 +202,82 @@ type PeerStatus struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// writeMsg writes one length-prefixed message.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, msgOverhead)
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
+// msgLen is the length word of a message whose payload is an optional
+// stream context followed by n more bytes. A payload over maxMessage is
+// refused here, at the sender, with the permanent ErrStreamTooLarge: the
+// receiver would drop the session on it, and past 4 GiB the uint32 word
+// would wrap.
+func msgLen(ctx *streamCtx, n int) (uint32, error) {
+	total := uint64(n)
+	if ctx != nil {
+		total += streamCtxSize
+	}
+	if total > maxMessage {
+		return 0, &permanentError{err: fmt.Errorf("%w: %d bytes, limit %d", ErrStreamTooLarge, total, maxMessage)}
+	}
+	return uint32(total), nil
+}
+
+// writeMsg writes one message: type, length, the stream context of a
+// checkpoint / seed message (nil for every other type) and the payload.
+// The header goes out together with the caller's payload through
+// net.Buffers — one writev on a *net.TCPConn, sequential writes on any
+// other writer — so nothing proportional to the payload is copied or
+// allocated. Nothing is written when the message is over maxMessage.
+func writeMsg(w io.Writer, typ byte, ctx *streamCtx, payload []byte) error {
+	n, err := msgLen(ctx, len(payload))
+	if err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	var hdr [msgOverhead + streamCtxSize]byte
+	hdr[0] = typ
+	binary.LittleEndian.PutUint32(hdr[1:], n)
+	head := hdr[:msgOverhead]
+	if ctx != nil {
+		binary.LittleEndian.PutUint64(hdr[msgOverhead:], ctx.Seq)
+		binary.LittleEndian.PutUint64(hdr[msgOverhead+8:], ctx.Gen)
+		binary.LittleEndian.PutUint64(hdr[msgOverhead+16:], ctx.SpanID)
+		head = hdr[:]
 	}
-	return nil
+	bufs := net.Buffers{head, payload}
+	_, err = bufs.WriteTo(w)
+	return err
 }
 
-// readMsg reads one length-prefixed message.
-func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [msgOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// payloadPools holds received-payload buffers between messages, by size
+// class: payloadPools[k] keeps buffers whose capacity is in
+// [1<<k, 2<<k), so a message reuses a buffer less than twice its size
+// and a guest's 64 MiB seed buffer does not stay pinned under its 8 MiB
+// checkpoints. A pool, not a buffer per session: idle sessions hold
+// nothing and the collector empties what goes unused.
+var payloadPools [31]sync.Pool // bits.Len(maxMessage) classes
+
+// getPayload returns an n-byte buffer, pooled when one fits.
+func getPayload(n int) []byte {
+	if n == 0 {
+		return nil
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxMessage {
-		return 0, nil, fmt.Errorf("transport: %d-byte message exceeds limit", n)
+	if b, _ := payloadPools[bits.Len(uint(n))-1].Get().([]byte); cap(b) >= n {
+		return b[:n]
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
+	return make([]byte, n)
 }
 
-// readMsgTimed reads one length-prefixed message and reports how long
-// the payload spent being read off the wire. The clock starts after
-// the header arrives, so idle time waiting for the next message is not
-// charged to the receive stage.
-func readMsgTimed(r io.Reader) (typ byte, payload []byte, recv time.Duration, err error) {
+// putPayload hands a buffer readMsg returned back for reuse. The caller
+// must hold no reference into it afterwards.
+func putPayload(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	payloadPools[bits.Len(uint(cap(b)))-1].Put(b[:cap(b)])
+}
+
+// readMsg reads one message. The payload buffer is taken from the pool
+// only after the header has arrived, so a connection waiting for its
+// next message holds none; it is the caller's until putPayload. recv is
+// how long the payload spent being read off the wire — the clock starts
+// after the header, so idle time between messages is not charged to it.
+func readMsg(r io.Reader) (typ byte, payload []byte, recv time.Duration, err error) {
 	var hdr [msgOverhead]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
@@ -238,8 +287,9 @@ func readMsgTimed(r io.Reader) (typ byte, payload []byte, recv time.Duration, er
 	if n > maxMessage {
 		return 0, nil, 0, fmt.Errorf("transport: %d-byte message exceeds limit", n)
 	}
-	payload = make([]byte, n)
+	payload = getPayload(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
+		putPayload(payload)
 		return 0, nil, 0, err
 	}
 	return hdr[0], payload, time.Since(start), nil
@@ -340,25 +390,20 @@ type streamCtx struct {
 	SpanID uint64 // sender-side transfer span ID, echoed in the ack
 }
 
-// encodeStream serializes a checkpoint/seed payload: the trace context
-// followed by the framed wire stream.
-func encodeStream(ctx streamCtx, stream []byte) []byte {
-	b := make([]byte, 0, 24+len(stream))
-	b = binary.LittleEndian.AppendUint64(b, ctx.Seq)
-	b = binary.LittleEndian.AppendUint64(b, ctx.Gen)
-	b = binary.LittleEndian.AppendUint64(b, ctx.SpanID)
-	return append(b, stream...)
-}
+// streamCtxSize is the encoded stream context: three little-endian
+// words, written by writeMsg and split off by decodeStream.
+const streamCtxSize = 8 * 3
 
-// decodeStream splits a checkpoint/seed payload.
+// decodeStream splits a checkpoint/seed payload into its context and
+// the framed wire stream, which aliases b.
 func decodeStream(b []byte) (ctx streamCtx, stream []byte, err error) {
-	if len(b) < 24 {
+	if len(b) < streamCtxSize {
 		return streamCtx{}, nil, fmt.Errorf("transport: short stream payload (%d bytes)", len(b))
 	}
 	ctx.Seq = binary.LittleEndian.Uint64(b[0:8])
 	ctx.Gen = binary.LittleEndian.Uint64(b[8:16])
 	ctx.SpanID = binary.LittleEndian.Uint64(b[16:24])
-	return ctx, b[24:], nil
+	return ctx, b[streamCtxSize:], nil
 }
 
 // ackStages are the secondary-side stage timings carried back in a

@@ -16,7 +16,7 @@ import (
 const testMemBytes = 1 << 20 // 256 pages
 
 // fill writes a recognizable pattern into pages [first, first+count).
-func fill(t *testing.T, mem *memory.GuestMemory, first memory.PageNum, count int, tag byte) {
+func fill(t testing.TB, mem *memory.GuestMemory, first memory.PageNum, count int, tag byte) {
 	t.Helper()
 	var page [memory.PageSize]byte
 	for i := 0; i < count; i++ {
@@ -370,9 +370,12 @@ func TestPartialWriteRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("checkpoint survived a mid-stream cut")
 	}
-	if _, _, _, ok := srv.Replica("vm0"); ok {
-		if _, _, acked, _ := srv.Replica("vm0"); acked != 0 {
+	if rep, _, acked, ok := srv.Replica("vm0"); ok {
+		if acked != 0 {
 			t.Fatalf("truncated stream advanced acked epoch to %d", acked)
+		}
+		if n := rep.PopulatedPages(); n != 0 {
+			t.Fatalf("a stream cut mid-write put %d pages into the replica", n)
 		}
 	}
 	if proxy.Cuts() == 0 {

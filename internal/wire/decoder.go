@@ -29,13 +29,36 @@ type frame struct {
 	payload []byte
 }
 
+// CommitSeq reads the checkpoint sequence number a stream's commit frame
+// seals it with — the fixed-size last frame — checking that frame's
+// type, length and CRC and nothing else, so a receiver can compare the
+// epoch with what its envelope says before it decodes. It does not
+// validate the stream: Decode still does, and rejects every stream
+// CommitSeq returns an error for.
+func CommitSeq(stream []byte) (uint64, error) {
+	const size = frameOverhead + commitPayloadSize
+	if len(stream) < headerSize+size {
+		return 0, fmt.Errorf("%w: %d-byte stream", ErrCommit, len(stream))
+	}
+	f := stream[len(stream)-size:]
+	payload := f[frameOverhead:]
+	if f[0] != frameCommit ||
+		binary.LittleEndian.Uint32(f[1:5]) != commitPayloadSize ||
+		binary.LittleEndian.Uint32(f[5:9]) != crc32.ChecksumIEEE(payload) {
+		return 0, fmt.Errorf("%w: stream not sealed", ErrCommit)
+	}
+	return binary.LittleEndian.Uint64(payload[:8]), nil
+}
+
 // Decode validates a checkpoint stream and applies it into dst, the
 // replica's guest memory. Validation — magic, version, every frame's
 // CRC32, structural bounds, delta well-formedness, the commit frame's
 // cross-checked counts — completes over the whole stream before the
 // first page is written, so a rejected stream never leaves dst
 // half-updated. What the replica holds afterwards is exactly what was
-// decoded from the wire.
+// decoded from the wire. Nothing it returns aliases stream — the state
+// record and disk payloads are copies — so the caller may reuse the
+// buffer as soon as Decode returns.
 func Decode(stream []byte, dst *memory.GuestMemory) (*Result, error) {
 	if dst == nil {
 		return nil, fmt.Errorf("wire: decode: nil destination memory")

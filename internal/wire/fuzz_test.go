@@ -49,7 +49,8 @@ func fuzzStream(f *testing.F) []byte {
 // FuzzDecode feeds arbitrary byte streams to the checkpoint decoder:
 // it must never panic, must reject malformed input with one of the
 // package's typed errors, and must leave the destination memory
-// untouched whenever it rejects.
+// untouched whenever it rejects. CommitSeq reads the same bytes first on
+// the receive path and is held to the decoder's verdict.
 func FuzzDecode(f *testing.F) {
 	valid := fuzzStream(f)
 	f.Add(valid)
@@ -64,6 +65,11 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := memory.NewGuestMemory(64 * memory.PageSize)
 		res, err := Decode(data, dst)
+		// CommitSeq never refuses a stream Decode accepts, and agrees with
+		// it on the epoch.
+		if seq, cerr := CommitSeq(data); err == nil && (cerr != nil || seq != res.Seq) {
+			t.Fatalf("CommitSeq = %d, %v on a stream Decode accepted as epoch %d", seq, cerr, res.Seq)
+		}
 		if err != nil {
 			found := false
 			for _, want := range typed {

@@ -423,6 +423,17 @@ func TestStateAndDiskFramesRoundTrip(t *testing.T) {
 	if cp.Stats.StateFrames != 1 || cp.Stats.DiskFrames != 2 {
 		t.Fatalf("stats = %+v", cp.Stats)
 	}
+	if seq, err := CommitSeq(cp.Stream); err != nil || seq != 3 || seq != res.Seq {
+		t.Fatalf("CommitSeq = %d, %v; the stream is sealed as 3", seq, err)
+	}
+	// The result owns its bytes: a receiver reuses the stream's buffer
+	// for the next message as soon as Decode returns.
+	for i := range cp.Stream {
+		cp.Stream[i] = 0xEE
+	}
+	if !bytes.Equal(res.State, state) || !bytes.Equal(res.Disk[0].Data, sector) || !bytes.Equal(res.Disk[1].Data, sector) {
+		t.Fatal("the decoded state record or a disk payload aliases the stream buffer")
+	}
 }
 
 // TestDecodeRejectsCorruption flips every byte of a valid stream in
@@ -452,6 +463,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
+		// CommitSeq vouches for the commit frame alone: it names the
+		// epoch the stream was sealed with or refuses, never another.
+		if seq, err := CommitSeq(mutated); err == nil && seq != 0 || err != nil && !errors.Is(err, ErrCommit) {
+			t.Fatalf("corruption at byte %d: CommitSeq = %d, %v", i, seq, err)
+		}
 		found := false
 		for _, want := range typed {
 			if errors.Is(err, want) {
@@ -475,6 +491,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 		if dst.PopulatedPages() != 0 {
 			t.Fatalf("truncation at %d half-applied", cut)
+		}
+		if seq, err := CommitSeq(cp.Stream[:cut]); !errors.Is(err, ErrCommit) {
+			t.Fatalf("truncation at %d: CommitSeq = %d, %v", cut, seq, err)
 		}
 	}
 }
