@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke
+check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +50,19 @@ bench-transport:
 
 bench-transport-smoke:
 	$(GO) test -run '^$$' -bench SendCheckpoint -benchmem -benchtime=1x ./internal/transport
+
+# Per-layer benchmarks of what a protection costs off the tick path:
+# the tracer (New, and Record cold / warm / wrapping) and a whole-fleet
+# Scheduler.Recover() of 192 protections in 4 groups (simnet, NoSync
+# journal), ns/op and B/op. bench-trace-smoke runs each once, in
+# `make check` and CI.
+bench-trace:
+	$(GO) test -run '^$$' -bench Tracer -benchmem ./internal/trace
+	$(GO) test -run '^$$' -bench Recover -benchmem ./internal/fleet
+
+bench-trace-smoke:
+	$(GO) test -run '^$$' -bench Tracer -benchmem -benchtime=1x ./internal/trace
+	$(GO) test -run '^$$' -bench Recover -benchmem -benchtime=1x ./internal/fleet
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
 # checked-in BENCH_wire.json and BENCH_trace.json baselines. The wire

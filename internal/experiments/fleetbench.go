@@ -65,15 +65,9 @@ func FleetBench(scale Scale) ([]FleetBenchRow, error) {
 func runFleetBench(scale Scale, protections int) (FleetBenchRow, error) {
 	row := FleetBenchRow{Protections: protections, Groups: fleetBenchGroups}
 	clk := vclock.NewSim()
-	// NoTrace: the default per-protection trace ring costs ~2 MiB;
-	// at 10k protections the tracer, not the scheduler, would be the
-	// measurement.
 	s, err := fleet.New(fleet.Config{
-		Groups: fleetBenchGroups,
-		Orchestrator: orchestrator.Config{
-			Clock:   clk,
-			NoTrace: true,
-		},
+		Groups:       fleetBenchGroups,
+		Orchestrator: orchestrator.Config{Clock: clk},
 	})
 	if err != nil {
 		return row, err

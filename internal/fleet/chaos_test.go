@@ -10,11 +10,9 @@ import (
 	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
-	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/orchestrator"
 	"github.com/here-ft/here/internal/vclock"
-	"github.com/here-ft/here/internal/xen"
 )
 
 // eventCursor polls the merged fleet event log the way herectl does,
@@ -59,45 +57,9 @@ func TestChaosShardedFleet(t *testing.T) {
 	dir := t.TempDir()
 	clk := vclock.NewSim()
 
-	var hosts []*hypervisor.Host
-	for i, c := range hostKinds {
-		var h *hypervisor.Host
-		var err error
-		if c == 'x' {
-			h, err = xen.New(fmt.Sprintf("x%d", i), clk)
-		} else {
-			h, err = kvm.New(fmt.Sprintf("k%d", i), clk)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts = append(hosts, h)
-	}
-
-	// boot opens the shared journal (replaying the previous lifetime's
-	// log) and builds a scheduler over the surviving hosts. NoSync
-	// keeps the 10k-scale run inside CI time; the frames still hit the
-	// file, so the kill/replay path is fully exercised.
+	hosts := newHosts(t, clk, hostKinds)
 	boot := func() (*journal.Store, *fleet.Scheduler) {
-		store, _, err := journal.Open(dir, journal.Options{GroupCommit: true, NoSync: true})
-		if err != nil {
-			t.Fatalf("journal.Open: %v", err)
-		}
-		// TraceCapacity 64: the default 16k-event ring costs ~2 MiB per
-		// protection, which at 10k protections is the whole heap budget.
-		s, err := fleet.New(fleet.Config{
-			Groups:       groups,
-			Orchestrator: orchestrator.Config{Clock: clk, Journal: store, TraceCapacity: 64},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range hosts {
-			if err := s.AddHost(h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return store, s
+		return bootFleet(t, dir, groups, orchestrator.Config{Clock: clk}, hosts)
 	}
 
 	store, s := boot()

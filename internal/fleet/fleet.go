@@ -392,13 +392,19 @@ func (s *Scheduler) GroupStatus() []GroupStatus {
 
 // Recover rebuilds the sharded fleet from the journaled state. The
 // journal is shared, so the phases are coordinated across groups: the
-// state is captured ONCE; every group resolves its pending activation
-// intents against that same capture; then exactly one group appends
-// the fence record establishing the new generation (the guard is
-// shared, so it covers all groups); then each group recovers its owned
-// protections. Running the phases per-group instead would lose
-// resolutions — the fence record voids every pending intent on
-// replay, including other groups'.
+// state is captured ONCE; (1) every group resolves its pending
+// activation intents against that same capture; (2) exactly one group
+// appends the fence record establishing the new generation (the guard
+// is shared, so it covers all groups); (3) each group recovers its
+// owned protections. Running phases 1–2 per-group instead would lose
+// resolutions — the fence record voids every pending intent on replay,
+// including other groups'. Phase 3 fans out the way Tick does: the
+// capture is read-only by then, groups own disjoint names under their
+// own locks, and hosts, guard, sequencer and journal already serve
+// concurrent ticks — so the groups' transport dials overlap and their
+// journal appends share group commits. Every group runs to its own
+// end; the report sums what came back and the error joins the groups
+// that failed.
 func (s *Scheduler) Recover() (orchestrator.RecoverReport, error) {
 	var total orchestrator.RecoverReport
 	j := s.ocfg.Journal
@@ -416,17 +422,28 @@ func (s *Scheduler) Recover() (orchestrator.RecoverReport, error) {
 		return total, err
 	}
 	total.Fence = fence
-	for _, g := range s.groups {
-		rep, err := g.mgr.RecoverProtections(&st)
+	reps := make([]orchestrator.RecoverReport, len(s.groups))
+	errs := make([]error, len(s.groups))
+	var wg sync.WaitGroup
+	for i, g := range s.groups {
+		wg.Add(1)
+		go func(i int, g *group) {
+			defer wg.Done()
+			rep, err := g.mgr.RecoverProtections(&st)
+			reps[i] = rep
+			if err != nil {
+				errs[i] = fmt.Errorf("group %d: %w", g.id, err)
+			}
+		}(i, g)
+	}
+	wg.Wait()
+	for _, rep := range reps {
 		total.Resumed += rep.Resumed
 		total.Reseeded += rep.Reseeded
 		total.Recreated += rep.Recreated
 		total.FailedOver += rep.FailedOver
 		total.Unprotected += rep.Unprotected
 		total.Lost += rep.Lost
-		if err != nil {
-			return total, fmt.Errorf("group %d: %w", g.id, err)
-		}
 	}
-	return total, nil
+	return total, errors.Join(errs...)
 }

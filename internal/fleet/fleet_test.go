@@ -6,11 +6,9 @@ import (
 
 	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/hypervisor"
-	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/orchestrator"
 	"github.com/here-ft/here/internal/vclock"
-	"github.com/here-ft/here/internal/xen"
 )
 
 // sched builds a scheduler with the given group count and host layout.
@@ -25,23 +23,11 @@ func sched(t *testing.T, groups int, kinds string) (*fleet.Scheduler, []*hypervi
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hosts []*hypervisor.Host
-	for i, c := range kinds {
-		var h *hypervisor.Host
-		var err error
-		name := string(c) + fmt.Sprint(i)
-		if c == 'x' {
-			h, err = xen.New(name, clk)
-		} else {
-			h, err = kvm.New(name, clk)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	hosts := newHosts(t, clk, kinds)
+	for _, h := range hosts {
 		if err := s.AddHost(h); err != nil {
 			t.Fatal(err)
 		}
-		hosts = append(hosts, h)
 	}
 	return s, hosts, clk
 }

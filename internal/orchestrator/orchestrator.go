@@ -343,6 +343,17 @@ func (p *Protection) Tracer() *trace.Tracer {
 	return p.tr
 }
 
+// newTracer builds one protection's epoch tracer, counted into the
+// manager's registry; nil with Config.NoTrace.
+func (m *Manager) newTracer() *trace.Tracer {
+	if m.cfg.NoTrace {
+		return nil
+	}
+	tr := trace.New(m.cfg.Clock, m.cfg.TraceCapacity)
+	tr.Instrument(m.cfg.Metrics)
+	return tr
+}
+
 // Mode names the externally visible protection mode of a VM.
 type Mode string
 
@@ -804,12 +815,7 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 		tmax:        m.cfg.MaxPeriod,
 		recoveryPol: m.cfg.Recovery,
 	}
-	if !m.cfg.NoTrace {
-		prot.tr = trace.New(m.cfg.Clock, m.cfg.TraceCapacity)
-		if m.cfg.Metrics != nil {
-			prot.tr.Instrument(m.cfg.Metrics)
-		}
-	}
+	prot.tr = m.newTracer()
 	if err := m.wire(prot, primary, asn.Secondaries, nil); err != nil {
 		_ = primary.DestroyVM(spec.Name)
 		return nil, err

@@ -14,7 +14,6 @@ import (
 	"github.com/here-ft/here/internal/placement"
 	"github.com/here-ft/here/internal/recovery"
 	"github.com/here-ft/here/internal/replication"
-	"github.com/here-ft/here/internal/trace"
 	"github.com/here-ft/here/internal/translate"
 )
 
@@ -262,12 +261,7 @@ func (m *Manager) recoverOne(name string, jp *journal.Protection, rep *RecoverRe
 		return err
 	}
 	prot.wl = wl
-	if !m.cfg.NoTrace {
-		prot.tr = trace.New(m.cfg.Clock, m.cfg.TraceCapacity)
-		if m.cfg.Metrics != nil {
-			prot.tr.Instrument(m.cfg.Metrics)
-		}
-	}
+	prot.tr = m.newTracer()
 	m.prots[name] = prot
 
 	if jp.Lost {
@@ -479,15 +473,32 @@ func (m *Manager) recoverFailover(prot *Protection, jp *journal.Protection,
 	}
 	gen := jp.Generation + 1
 	replicaName := fmt.Sprintf("%s-g%d", prot.Name, gen)
-	token := m.guard.Mint()
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFenceIntent, VM: prot.Name,
-		Generation: gen, Target: secondary.HostName(), Fence: token,
-	}); err != nil {
-		return err
+	// The guard is shared and the placement groups recover side by
+	// side, so another group's activation can be admitted between this
+	// token's Mint and its Admit. Admit refuses before any side effect;
+	// the live path answers ErrFenced by retrying on the next round, and
+	// recovery — which has no next round and would otherwise declare a
+	// good deposit lost — mints again. Every refusal is another
+	// activation's success, so the loop ends.
+	var (
+		token uint64
+		res   failover.Result
+		err   error
+	)
+	for {
+		token = m.guard.Mint()
+		if err := m.journalAppend(journal.Record{
+			Kind: journal.RecFenceIntent, VM: prot.Name,
+			Generation: gen, Target: secondary.HostName(), Fence: token,
+		}); err != nil {
+			return err
+		}
+		res, err = failover.ActivateFromImage(secondary, replicaName, deposit.Image, deposit.Mem,
+			failover.Options{Guard: m.guard, Token: token, Tracer: prot.tr})
+		if !errors.Is(err, failover.ErrFenced) {
+			break
+		}
 	}
-	res, err := failover.ActivateFromImage(secondary, replicaName, deposit.Image, deposit.Mem,
-		failover.Options{Guard: m.guard, Token: token, Tracer: prot.tr})
 	if err != nil {
 		prot.lost = true
 		rep.Lost++

@@ -13,9 +13,12 @@
 //     rollbacks, protection-mode transitions, fault injections,
 //     heartbeat misses.
 //
-// Storage is a bounded ring buffer: Record never blocks and never
-// allocates on the hot path once the ring is warm; when the ring is
-// full the oldest event is overwritten and counted in Dropped(). A nil
+// Storage is a bounded ring buffer that holds what was recorded: New
+// allocates nothing proportional to the capacity, the first Record
+// makes a 64-slot buffer and a full buffer doubles until it reaches the
+// capacity, so a tracer allocates at most ⌈log₂(capacity/64)⌉ + 1 times
+// in its life and Record never blocks. Once the ring is at capacity
+// the oldest event is overwritten and counted in Dropped(). A nil
 // *Tracer is valid and disables tracing — call sites need no guards.
 //
 // The paper's evaluation attributes each epoch's cost to its stages
@@ -188,16 +191,22 @@ type Event struct {
 // DefaultCapacity is the ring size used when New is given 0.
 const DefaultCapacity = 16384
 
+// initialSlots is the buffer the first Record allocates; it doubles
+// from there up to the tracer's capacity.
+const initialSlots = 64
+
 // Tracer records spans and events into a bounded ring buffer. It is
 // safe for concurrent use; a nil *Tracer discards everything.
 type Tracer struct {
-	clock vclock.Clock
-	start time.Time
+	clock    vclock.Clock
+	start    time.Time
+	capacity int // the ring's bound and, once reached, its modulus
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// buf holds the events in record order from index 0 until it has
+	// grown to capacity; only then does head move and the ring wrap.
 	buf     []Event
 	head    int // index of the oldest event
-	n       int // number of valid events
 	seq     uint64
 	dropped uint64
 
@@ -216,9 +225,9 @@ func New(clock vclock.Clock, capacity int) *Tracer {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		clock: clock,
-		start: clock.Now(),
-		buf:   make([]Event, 0, capacity),
+		clock:    clock,
+		start:    clock.Now(),
+		capacity: capacity,
 	}
 }
 
@@ -267,25 +276,44 @@ func (t *Tracer) Record(ev Event) {
 	t.mu.Lock()
 	ev.Seq = t.seq
 	t.seq++
-	if t.n < cap(t.buf) {
-		t.buf = append(t.buf, ev)
-		t.n++
-	} else {
+	full := len(t.buf) == t.capacity
+	if full {
 		t.buf[t.head] = ev
 		t.head++
-		if t.head == cap(t.buf) {
+		if t.head == t.capacity {
 			t.head = 0
 		}
 		t.dropped++
+	} else {
+		if len(t.buf) == cap(t.buf) {
+			t.grow()
+		}
+		t.buf = append(t.buf, ev)
 	}
-	events, drops, dropped := t.events, t.drops, t.dropped
+	events, drops := t.events, t.drops
 	t.mu.Unlock()
 	if events != nil {
 		events.Inc()
 	}
-	if drops != nil && dropped > 0 {
-		drops.Set(int64(dropped))
+	if drops != nil && full {
+		drops.Inc()
 	}
+}
+
+// grow doubles a full buffer, clamped to the capacity. The ring has
+// not wrapped yet (head is 0), so the copy keeps record order. Caller
+// holds t.mu.
+func (t *Tracer) grow() {
+	slots := 2 * cap(t.buf)
+	if slots < initialSlots {
+		slots = initialSlots
+	}
+	if slots > t.capacity {
+		slots = t.capacity
+	}
+	buf := make([]Event, len(t.buf), slots)
+	copy(buf, t.buf)
+	t.buf = buf
 }
 
 // Span records a completed span of the given kind, measuring its
@@ -324,7 +352,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return len(t.buf)
 }
 
 // Dropped reports how many events were overwritten by ring overflow.
@@ -344,11 +372,9 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.head+i)%cap(t.buf)])
-	}
-	return out
+	out := make([]Event, 0, len(t.buf))
+	out = append(out, t.buf[t.head:]...)
+	return append(out, t.buf[:t.head]...)
 }
 
 // EpochStages is the per-epoch stage attribution reassembled from a
