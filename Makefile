@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke
+check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke bench-reprotect-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,6 +63,18 @@ bench-trace:
 bench-trace-smoke:
 	$(GO) test -run '^$$' -bench Tracer -benchmem -benchtime=1x ./internal/trace
 	$(GO) test -run '^$$' -bench Recover -benchmem -benchtime=1x ./internal/fleet
+
+# Per-layer benchmark of the re-protect after a forced failover: one
+# Manager.Failover per op on a fully populated 1 MiB / 64 MiB guest
+# (simnet, NoSync journal, stores to one page in 64 since the last
+# checkpoint), warm (the fenced primary's copy is converged) against cold
+# (a full seed), ns/op, B/op and pages/op. bench-reprotect-smoke runs
+# each once, in `make check` and CI.
+bench-reprotect:
+	$(GO) test -run '^$$' -bench Reprotect -benchmem ./internal/orchestrator
+
+bench-reprotect-smoke:
+	$(GO) test -run '^$$' -bench Reprotect -benchmem -benchtime=1x ./internal/orchestrator
 
 # Reduced-scale wire-codec and trace benchmarks; refreshes the
 # checked-in BENCH_wire.json and BENCH_trace.json baselines. The wire

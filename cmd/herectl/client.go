@@ -196,8 +196,8 @@ func printStatus(st controlplane.VMStatus) {
 	}
 	if d := st.Placement; d != nil {
 		for _, ch := range d.Secondaries {
-			fmt.Printf("placed  : %s [%s] overlap %d CVEs, load %d, score %.1f\n",
-				ch.Host, ch.Flavor, ch.Overlap, ch.Load, ch.Score)
+			fmt.Printf("placed  : %s [%s] overlap %d CVEs, load %d, score %.1f%s\n", ch.Host, ch.Flavor,
+				ch.Overlap, ch.Load, ch.Score, map[bool]string{true: ", warm copy"}[ch.Warm])
 		}
 		for _, rej := range d.Rejections {
 			detail := string(rej.Reason)

@@ -83,11 +83,9 @@ func (m *GuestMemory) PopulatedList() []PageNum {
 // DiffPages returns, in ascending order, the populated pages of m
 // whose content differs from ref's view of the same page (an
 // unpopulated page reads as zeroes on either side). A nil ref makes
-// every non-zero populated page differ. It is the precise delta-resync
-// set against a replica copy of this guest, for when a dirty log
-// cannot be trusted — e.g. across a hypervisor microreboot, where the
-// conservative alternative is re-shipping every populated page the
-// replica already holds.
+// every non-zero populated page differ. One-directional — a page only
+// ref holds is not reported — so it is not a resync set; Diff is. The
+// wall-clock benchmark's integrity checks call it both ways.
 func (m *GuestMemory) DiffPages(ref *GuestMemory) []PageNum {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -95,16 +93,47 @@ func (m *GuestMemory) DiffPages(ref *GuestMemory) []PageNum {
 		ref.mu.RLock()
 		defer ref.mu.RUnlock()
 	}
+	out := m.differing(ref, make([]PageNum, 0, len(m.pages)))
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// differing appends to out m's populated pages that differ from ref's
+// view of them (nil: all zeroes). The caller holds both locks.
+func (m *GuestMemory) differing(ref *GuestMemory, out []PageNum) []PageNum {
 	var zero [PageSize]byte
-	out := make([]PageNum, 0, len(m.pages))
+	var refPages map[PageNum]*[PageSize]byte // nil reads as empty
+	if ref != nil {
+		refPages = ref.pages
+	}
 	for n, pg := range m.pages {
-		rp := &zero
-		if ref != nil {
-			if p := ref.pages[n]; p != nil {
-				rp = p
-			}
+		rp := refPages[n]
+		if rp == nil {
+			rp = &zero
 		}
 		if *pg != *rp {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Diff returns, in ascending order, every page whose content differs
+// between a and b, an unpopulated page reading as zeroes on either side:
+// a page only a holds non-zero differs exactly as one only b holds — the
+// set a drifted copy must receive, each page compared once.
+func Diff(a, b *GuestMemory) []PageNum {
+	if a == b {
+		return nil
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var zero [PageSize]byte
+	out := a.differing(b, nil)
+	for n, pb := range b.pages {
+		if a.pages[n] == nil && *pb != zero {
 			out = append(out, n)
 		}
 	}

@@ -401,3 +401,69 @@ func TestCopyPagesToErrors(t *testing.T) {
 		t.Fatal("copy of out-of-range page succeeded")
 	}
 }
+
+// page returns a page filled with b.
+func page(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
+
+// TestDiffSeesBothDirections walks every way two copies of a guest can
+// hold a page — never held, held all-zero (a byte-wise zeroing keeps the
+// backing), held non-zero — on each side. Diff must report exactly the
+// pages whose logical content differs, whichever side holds them, and
+// the same set both ways round.
+func TestDiffSeesBothDirections(t *testing.T) {
+	const (
+		absent = iota
+		zeroed
+		ones
+		twos
+	)
+	put := func(m *GuestMemory, n PageNum, kind int) {
+		switch kind {
+		case zeroed:
+			if err := m.Write(Addr(n)*PageSize, page(0)); err != nil {
+				t.Fatal(err)
+			}
+		case ones, twos:
+			if err := m.WritePage(n, page(byte(kind))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := NewGuestMemory(16*PageSize), NewGuestMemory(16*PageSize)
+	var want []PageNum
+	n := PageNum(0)
+	for ka := absent; ka <= twos; ka++ {
+		for kb := absent; kb <= twos; kb++ {
+			put(a, n, ka)
+			put(b, n, kb)
+			if la, lb := max(ka, zeroed), max(kb, zeroed); la != lb {
+				want = append(want, n)
+			}
+			n++
+		}
+	}
+	for _, got := range [][]PageNum{Diff(a, b), Diff(b, a)} {
+		if len(got) != len(want) {
+			t.Fatalf("Diff = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Diff = %v, want %v", got, want)
+			}
+		}
+	}
+	if d := Diff(a, a); d != nil {
+		t.Fatalf("Diff(a, a) = %v", d)
+	}
+	// The one-way DiffPages misses what only the other side holds.
+	if one := a.DiffPages(b); len(one) >= len(want) {
+		t.Fatalf("DiffPages = %v: the one-way walk should miss pages only b holds (%v)", one, want)
+	}
+	// Copying the diff makes the copies equal, zero pages included.
+	if err := a.CopyPagesTo(want, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := Diff(a, b); len(d) != 0 || a.Hash() != b.Hash() {
+		t.Fatalf("after copying the diff the memories still differ in %v", d)
+	}
+}

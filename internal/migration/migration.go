@@ -139,6 +139,14 @@ type Result struct {
 // Migrate runs the seeding migration of vm's memory into dst.
 // On success the VM is paused with its final state captured; dst holds
 // a byte-identical copy of guest memory.
+//
+// A dst that already holds pages — a warm copy of this guest — is
+// converged, not filled: the first pass carries only the pages where dst
+// and the guest differ (memory.Diff) plus those in the dirty log, and
+// every round goes out, even an empty one, as overwrite frames — right
+// against any replica content, such as a seedSender's peer's own copy,
+// which the caller guarantees equals the guest outside that first pass
+// (DESIGN §11). An empty dst is filled as ever, zero runs included.
 func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, error) {
 	var res Result
 	if vm == nil || dst == nil {
@@ -179,15 +187,24 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 	start := clock.Now()
 
 	// Reset tracking so the migration sees a clean slate, then treat
-	// every page as dirty for the initial full-memory pass.
-	vm.Tracker().Bitmap().Snapshot()
+	// every page as dirty for the initial full-memory pass — or, when
+	// converging, the pages that differ, folded into the dirty log.
+	converge := dst.PopulatedPages() > 0
+	bitmap := vm.Tracker().Bitmap()
+	if converge {
+		for _, p := range memory.Diff(dst, vm.Memory()) {
+			bitmap.Set(p)
+		}
+	}
+	batch := bitmap.Snapshot()
 	for v := 0; v < vm.NumVCPUs(); v++ {
 		vm.Tracker().Ring(v).Drain()
 	}
-	totalPages := vm.Memory().NumPages()
-	batch := make([]memory.PageNum, totalPages)
-	for i := range batch {
-		batch[i] = memory.PageNum(i)
+	if !converge {
+		batch = make([]memory.PageNum, vm.Memory().NumPages())
+		for i := range batch {
+			batch[i] = memory.PageNum(i)
+		}
 	}
 
 	problematic := make(map[memory.PageNum]int)
@@ -196,7 +213,7 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 		initialPass := iter == 1
 		iterStart := clock.Now()
 		bytesBefore := res.BytesSent
-		dur, err := transferBatch(vm, dst, batch, cfg.Mode, initialPass, threads, costs, cfg.Transport, enc, &res)
+		dur, err := transferBatch(vm, dst, batch, cfg.Mode, initialPass, converge, threads, costs, cfg.Transport, enc, &res)
 		if err != nil {
 			return res, err
 		}
@@ -232,7 +249,7 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 		res.ProblematicResent = len(problematic)
 	}
 	stopBytesBefore := res.BytesSent
-	if _, err := transferBatch(vm, dst, final, cfg.Mode, false, threads, costs, cfg.Transport, enc, &res); err != nil {
+	if _, err := transferBatch(vm, dst, final, cfg.Mode, false, converge, threads, costs, cfg.Transport, enc, &res); err != nil {
 		return res, err
 	}
 	clock.Sleep(costs.StateRecord)
@@ -251,8 +268,8 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 }
 
 // transferBatch encodes one batch of pages into a wire stream, accounts
-// the cost of sending it, and decodes it into the destination. The cost
-// model follows DESIGN.md §5:
+// the cost of sending it, and decodes it into the destination (converge:
+// overwrite frames, an empty batch still sent). Cost model, DESIGN.md §5:
 //
 //	scan:  totalPages × ScanPerPage, divided across threads
 //	cpu:   n × MigratePerPage — serial on the initial full pass (pages
@@ -261,7 +278,7 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 //	net:   link transfer of the measured stream size with `threads`
 //	       streams
 func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.PageNum,
-	mode Mode, initialPass bool, threads int, costs hypervisor.CostModel,
+	mode Mode, initialPass, converge bool, threads int, costs hypervisor.CostModel,
 	link Transport, enc *wire.Encoder, res *Result) (time.Duration, error) {
 
 	clock := vm.Hypervisor().Clock()
@@ -283,8 +300,14 @@ func transferBatch(vm *hypervisor.VM, dst *memory.GuestMemory, pages []memory.Pa
 	}
 	clock.Sleep(scan + cpu)
 
-	if n > 0 {
-		cp, err := enc.Encode(vm.Memory(), pages, nil, nil, uint64(res.Iterations), threads)
+	if n > 0 || converge {
+		var cp *wire.Checkpoint
+		var err error
+		if converge {
+			cp, err = enc.EncodeOverwrite(vm.Memory(), pages, nil, nil, uint64(res.Iterations))
+		} else {
+			cp, err = enc.Encode(vm.Memory(), pages, nil, nil, uint64(res.Iterations), threads)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("migration: %w", err)
 		}

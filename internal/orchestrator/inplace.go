@@ -7,6 +7,7 @@ import (
 
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
+	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/recovery"
 	"github.com/here-ft/here/internal/replication"
 	"github.com/here-ft/here/internal/trace"
@@ -145,18 +146,19 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		// copy of what the surviving leg holds, and the guest's RAM
 		// survived in place — so narrow the resync to the pages that
 		// actually drifted from the deposit instead of re-shipping the
-		// whole populated set.
+		// whole populated set. Drift is looked for from both sides: a page
+		// the guest gave back since is one the deposit alone still holds.
 		tr := p.vm.Tracker()
 		tr.Bitmap().Snapshot()
 		for i := 0; i < tr.NumVCPUs(); i++ {
 			tr.Ring(i).Drain()
 		}
-		delta := p.vm.Memory().DiffPages(dep.Mem)
+		delta := memory.Diff(dep.Mem, p.vm.Memory())
 		for _, pg := range delta {
 			tr.Bitmap().Set(pg)
 		}
 		resume := &replication.ResumeState{Mem: dep.Mem, Image: dep.Image, Seq: seq}
-		if err := m.wire(p, host, []*hypervisor.Host{depHost}, resume); err != nil {
+		if err := m.wire(p, host, []*hypervisor.Host{depHost}, resume, nil); err != nil {
 			// The guest is saved either way; leave it unprotected and let
 			// the next tick re-pair.
 			return true, err
@@ -195,7 +197,7 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 	}); err != nil {
 		return true, err
 	}
-	if err := m.tryReprotect(p); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
+	if err := m.tryReprotect(p, nil); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
 		return true, err
 	}
 	return true, nil

@@ -27,6 +27,7 @@ import (
 	"github.com/here-ft/here/internal/failover"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
+	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/period"
 	"github.com/here-ft/here/internal/placement"
 	"github.com/here-ft/here/internal/recovery"
@@ -448,6 +449,9 @@ type Manager struct {
 	recInPlace   *trace.Counter
 	recEscalated *trace.Counter
 
+	// here_reprotect_*: re-protect seeds by kind (warmCopy) and their pages.
+	seedsWarm, seedsCold, seedPages *trace.Counter
+
 	mu      sync.Mutex
 	hosts   []*hypervisor.Host
 	links   map[string]*simnet.Link // "hostA->hostB"
@@ -514,6 +518,11 @@ func New(cfg Config) (*Manager, error) {
 			"primary failures recovered in place without a failover")
 		m.recEscalated = cfg.Metrics.Counter("here_recovery_escalations_total",
 			"in-place recovery ladders that escalated to fenced failover")
+		const seedsHelp = "re-protect seeds, by kind: warm converged a fenced primary's copy, cold filled an empty replica"
+		m.seedsWarm = cfg.Metrics.Counter(trace.Labeled("here_reprotect_seeds_total", "seed", "warm"), seedsHelp)
+		m.seedsCold = cfg.Metrics.Counter(trace.Labeled("here_reprotect_seeds_total", "seed", "cold"), seedsHelp)
+		m.seedPages = cfg.Metrics.Counter("here_reprotect_seed_pages_total",
+			"pages shipped by re-protect seeds")
 	}
 	m.publishAll()
 	return m, nil
@@ -816,7 +825,7 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 		recoveryPol: m.cfg.Recovery,
 	}
 	prot.tr = m.newTracer()
-	if err := m.wire(prot, primary, asn.Secondaries, nil); err != nil {
+	if err := m.wire(prot, primary, asn.Secondaries, nil, nil); err != nil {
 		_ = primary.DestroyVM(spec.Name)
 		return nil, err
 	}
@@ -851,11 +860,13 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 
 // wire builds the replication chain and monitor for prot onto the
 // given secondaries (leg order). With resume nil every replica is
-// seeded by a full migration; with a resume state (replica memory +
-// last acked image surviving on a secondary) the replicator
-// re-attaches that single leg in degraded mode and the first healthy
-// cycle ships only a delta resync. Caller holds m.mu.
-func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries []*hypervisor.Host, resume *replication.ResumeState) error {
+// seeded by a full migration — except a leg on warm's host, whose
+// replica memory is warm's copy and whose seed ships only what that copy
+// lacks; with a resume state (replica memory + last acked image
+// surviving on a secondary) the replicator re-attaches that single leg
+// in degraded mode and the first healthy cycle ships only a delta
+// resync. Caller holds m.mu.
+func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries []*hypervisor.Host, resume *replication.ResumeState, warm *warmCopy) error {
 	if len(secondaries) == 0 {
 		return fmt.Errorf("%w: nothing to wire", ErrNoHeterogeneous)
 	}
@@ -881,6 +892,11 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 				return err
 			}
 			legs = append(legs, replication.Secondary{Host: s, Transport: link})
+		}
+	}
+	for i, s := range secondaries {
+		if warm != nil && s == warm.host {
+			legs[i].Warm = warm.mem
 		}
 	}
 	pm, err := period.New(period.Config{D: prot.budget, Tmax: prot.tmax})
@@ -1282,7 +1298,8 @@ func (m *Manager) Unprotect(name string) error {
 // is activated on the secondary even though the primary may still be
 // healthy (the operator has fenced it out-of-band), the old primary
 // copy is destroyed, and the survivor is re-protected when a
-// heterogeneous spare exists. Returns the activation result.
+// heterogeneous spare exists — warm, onto the old primary's host, when
+// its destroyed copy is fit to keep (warmCopy). Returns the result.
 func (m *Manager) Failover(name string) (failover.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1315,6 +1332,7 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 		return failover.Result{}, fmt.Errorf("%w: secondary %s is %s",
 			ErrNoReplica, targetH.HostName(), targetH.Health())
 	}
+	settled := p.rep.Settled(legIdx) // asked before the activation retires the session
 	gen := p.Generation + 1
 	replicaName := fmt.Sprintf("%s-g%d", p.Name, gen)
 	// Journal the activation intent (with a freshly minted fencing
@@ -1340,9 +1358,12 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	}
 	p.Generation = gen
 	// Fence: the old primary copy must not keep executing beside the
-	// activated replica.
+	// activated replica; only one provably stopped may be kept as the next.
+	warm := &warmCopy{}
 	if host, ok := p.primary.(*hypervisor.Host); ok && host.Health() == hypervisor.Healthy {
-		_ = host.DestroyVM(p.vm.Name())
+		if err := host.DestroyVM(p.vm.Name()); err == nil && settled {
+			warm.host, warm.mem = host, p.vm.Memory()
+		}
 	}
 	m.record(EventFailedOver, name,
 		fmt.Sprintf("forced: resumed on %s in %v", target.HostName(), res.ResumeTime))
@@ -1355,7 +1376,7 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	}); err != nil {
 		return res, err
 	}
-	if err := m.tryReprotect(p); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
+	if err := m.tryReprotect(p, warm); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
 		return res, err
 	}
 	return res, nil
@@ -1475,7 +1496,7 @@ func (m *Manager) tickOne(p *Protection) error {
 	if p.rep == nil {
 		// Running unprotected (no secondary was available); try to
 		// find replicas now.
-		return m.tryReprotect(p)
+		return m.tryReprotect(p, nil)
 	}
 	// Restore the chain to its requested width when a replacement host
 	// is available; the new leg seeds inside the next checkpoint pause.
@@ -1491,7 +1512,7 @@ func (m *Manager) tickOne(p *Protection) error {
 			// No replica left that a delta could build on: re-pair and
 			// re-seed from scratch.
 			m.dropSecondaries(p)
-			return m.tryReprotect(p)
+			return m.tryReprotect(p, nil)
 		default:
 			return fmt.Errorf("orchestrator: vm %q: %w", p.Name, err)
 		}
@@ -1766,13 +1787,27 @@ func (m *Manager) handleFailure(p *Protection) error {
 	}); err != nil {
 		return err
 	}
-	return m.tryReprotect(p)
+	return m.tryReprotect(p, nil)
+}
+
+// warmCopy is what a forced failover keeps for the re-protect that
+// follows it: the destroyed primary's memory, still on its host, which
+// differs from the activated replica by the pages dirtied since the last
+// acknowledged checkpoint — what a seed that converges it ships. host
+// and mem are nil when nothing was kept: the old host was unhealthy,
+// DestroyVM failed (the copy may still run), or the retiring session was
+// not settled. A nil *warmCopy is any other re-protect.
+type warmCopy struct {
+	host *hypervisor.Host
+	mem  *memory.GuestMemory
 }
 
 // tryReprotect pairs an unprotected VM with a freshly planned chain of
-// heterogeneous secondaries and seeds replication again. Caller holds
-// m.mu.
-func (m *Manager) tryReprotect(p *Protection) error {
+// heterogeneous secondaries and seeds replication again; a leg that
+// lands on warm's host is seeded warm. Until its seed returns that leg
+// is unseeded like any other and nothing is journaled: a crash mid-seed
+// recovers unprotected, then cold, as ever (DESIGN §11). Holds m.mu.
+func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
 	primary, ok := p.primary.(*hypervisor.Host)
 	if !ok {
 		return fmt.Errorf("orchestrator: vm %q: unexpected host type", p.Name)
@@ -1781,9 +1816,11 @@ func (m *Manager) tryReprotect(p *Protection) error {
 	if want <= 0 {
 		want = 1
 	}
-	asn, err := m.planner.PlanSecondaries(placement.Spec{
-		Name: p.Name, Secondaries: want, Primary: primary.HostName(),
-	}, primary, m.hosts)
+	spec := placement.Spec{Name: p.Name, Secondaries: want, Primary: primary.HostName()}
+	if warm != nil && warm.host != nil {
+		spec.Warm = warm.host.HostName()
+	}
+	asn, err := m.planner.PlanSecondaries(spec, primary, m.hosts)
 	if err != nil {
 		err = mapPlanErr(err)
 		if p.rep == nil {
@@ -1792,12 +1829,26 @@ func (m *Manager) tryReprotect(p *Protection) error {
 		return err
 	}
 	p.decision = asn.Decision
-	if err := m.wire(p, primary, asn.Secondaries, nil); err != nil {
+	if err := m.wire(p, primary, asn.Secondaries, nil, warm); err != nil {
 		return err
 	}
-	m.record(EventReprotected, p.Name,
-		fmt.Sprintf("%s (%s) -> %s", primary.HostName(), primary.Product(),
-			chainDetail(asn.Secondaries)))
+	detail := fmt.Sprintf("%s (%s) -> %s", primary.HostName(), primary.Product(),
+		chainDetail(asn.Secondaries))
+	shipped := p.rep.Totals().PagesSent
+	seed, seeds := "cold seed", m.seedsCold
+	for _, ch := range asn.Decision.Secondaries {
+		if ch.Warm {
+			seed = fmt.Sprintf("warm seed: %d of %d pages", shipped,
+				len(asn.Secondaries)*int(p.vm.Memory().NumPages()))
+			seeds = m.seedsWarm
+		}
+	}
+	seeds.Inc()
+	m.seedPages.Add(shipped)
+	if warm != nil { // a forced failover: the only re-protect with a choice to report
+		detail += "; " + seed
+	}
+	m.record(EventReprotected, p.Name, detail)
 	return m.journalAppend(journal.Record{
 		Kind: journal.RecReprotect, VM: p.Name,
 		Secondary:   firstName(asn.Secondaries),

@@ -40,6 +40,11 @@ type Spec struct {
 	// and failover re-planning keep the surviving copy where it is).
 	// Empty lets the engine choose.
 	Primary string
+	// Warm optionally names a host that already holds a copy of this
+	// guest's memory (the fenced primary after a forced failover). Gated
+	// like any candidate, it takes a slot only when its CVE overlap is no
+	// higher than the score's pick: it outranks load, never security.
+	Warm string
 }
 
 // RejectReason is a typed explanation for why a candidate host was not
@@ -91,6 +96,9 @@ type Choice struct {
 	// Score is the chain-aware score the greedy selection minimized
 	// (overlap with primary and already-chosen secondaries, plus load).
 	Score float64 `json:"score"`
+	// Warm marks a host taken for the copy of the guest it already
+	// holds (Spec.Warm), whatever its load: Score need not be the lowest.
+	Warm bool `json:"warm,omitempty"`
 }
 
 // Decision is the serializable rationale of one plan: what was chosen,
@@ -298,7 +306,8 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 	// a disjoint one is available.
 	var picked []candidate
 	for len(picked) < spec.Secondaries && len(pool) > 0 {
-		bestIdx, bestScore := -1, 0.0
+		bestIdx, bestScore, bestOverlap := -1, 0.0, 0
+		warmIdx, warmScore, warmOverlap := -1, 0.0, 0
 		for i, c := range pool {
 			chainOverlap := c.overlap
 			for _, p := range picked {
@@ -307,8 +316,16 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 			score := e.cfg.OverlapWeight*float64(chainOverlap) + e.cfg.LoadWeight*float64(c.load)
 			if bestIdx < 0 || score < bestScore ||
 				(score == bestScore && c.host.HostName() < pool[bestIdx].host.HostName()) {
-				bestIdx, bestScore = i, score
+				bestIdx, bestScore, bestOverlap = i, score, chainOverlap
 			}
+			if c.host.HostName() == spec.Warm {
+				warmIdx, warmScore, warmOverlap = i, score, chainOverlap
+			}
+		}
+		// A host that holds a copy of the guest outranks load, never overlap.
+		warm := warmIdx >= 0 && warmOverlap <= bestOverlap
+		if warm {
+			bestIdx, bestScore = warmIdx, warmScore
 		}
 		c := pool[bestIdx]
 		pool = append(pool[:bestIdx], pool[bestIdx+1:]...)
@@ -316,7 +333,7 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 		asn.Secondaries = append(asn.Secondaries, c.host)
 		asn.Decision.Secondaries = append(asn.Decision.Secondaries, Choice{
 			Host: c.host.HostName(), Flavor: c.flavor,
-			Overlap: c.overlap, Load: c.load, Score: bestScore,
+			Overlap: c.overlap, Load: c.load, Score: bestScore, Warm: warm,
 		})
 	}
 

@@ -2,6 +2,7 @@ package placement_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/here-ft/here/internal/chv"
@@ -255,3 +256,116 @@ func assertCounter(t *testing.T, reg *trace.Registry, name string, want int64) {
 		t.Fatalf("%s = %d, want %d", name, c.Value(), want)
 	}
 }
+
+// TestWarmHostOutranksLoadOnly: Spec.Warm names a host that already
+// holds a copy of the guest. It wins over a less loaded host of equal
+// CVE overlap and is recorded as taken for its copy; it loses whenever a
+// gate rejects it or another candidate shares fewer CVEs with the
+// primary. A plan that names no warm host, or one outside the fleet, is
+// the plan it always was.
+func TestWarmHostOutranksLoadOnly(t *testing.T) {
+	type fleet struct {
+		hosts []*hypervisor.Host
+		cfg   placement.Config
+	}
+	// Every fleet has the QEMU-KVM primary q1, the warm host w (loaded
+	// with three VMs unless the row says otherwise) and an idle kvmtool
+	// rival a, whose name and load both beat w's.
+	build := func(t *testing.T, warm func(clk vclock.Clock) *hypervisor.Host, cfg placement.Config) fleet {
+		clk := vclock.NewSim()
+		return fleet{cfg: cfg, hosts: []*hypervisor.Host{
+			mkHost(t, qemukvm.Backend, "q1", clk), warm(clk), mkHost(t, kvm.Backend, "a", clk),
+		}}
+	}
+	loaded := func(backend string, n int) func(vclock.Clock) *hypervisor.Host {
+		return func(clk vclock.Clock) *hypervisor.Host {
+			h := mkHost(t, backend, "w", clk)
+			loadUp(t, h, n)
+			return h
+		}
+	}
+	cases := []struct {
+		name   string
+		warm   func(vclock.Clock) *hypervisor.Host
+		cfg    placement.Config
+		winner string
+		reject placement.RejectReason // of the loser
+	}{
+		{"beats load", loaded(kvm.Backend, 3), placement.Config{}, "w", placement.RejectOutscored},
+		{"unhealthy", func(clk vclock.Clock) *hypervisor.Host {
+			h := mkHost(t, kvm.Backend, "w", clk)
+			h.Fail(hypervisor.Crashed, "test")
+			return h
+		}, placement.Config{}, "a", placement.RejectUnhealthy},
+		{"host full", loaded(kvm.Backend, 3), placement.Config{MaxVMs: 3}, "a", placement.RejectHostFull},
+		{"no restore", func(clk vclock.Clock) *hypervisor.Host {
+			h, err := hypervisor.NewHost(noRestoreFlavor{kvm.Flavor()}, "w", clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}, placement.Config{}, "a", placement.RejectNoRestore},
+		{"identical flavor", loaded(qemukvm.Backend, 0), placement.Config{}, "a", placement.RejectSharedCVEs},
+		{"higher overlap", loaded(xen.Backend, 0), placement.Config{}, "a", placement.RejectSharedCVEs},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := build(t, tc.warm, tc.cfg)
+			e := placement.New(f.cfg)
+			matrix := e.ScoreMatrix(f.hosts)
+			plain, err := e.Plan(placement.Spec{Name: "vm", Primary: "q1"}, f.hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := plain.Decision.Secondaries[0]; got.Host != "a" || got.Warm {
+				t.Fatalf("without a warm host the plan took %+v, want a", got)
+			}
+			absent, err := e.Plan(placement.Spec{Name: "vm", Primary: "q1", Warm: "gone"}, f.hosts)
+			if err != nil || !reflect.DeepEqual(absent.Decision, plain.Decision) {
+				t.Fatalf("a warm host outside the fleet changed the plan:\n%+v\n%+v (%v)", absent.Decision, plain.Decision, err)
+			}
+			asn, err := e.Plan(placement.Spec{Name: "vm", Primary: "q1", Warm: "w"}, f.hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := asn.Decision.Secondaries[0]
+			if got.Host != tc.winner || got.Warm != (tc.winner == "w") {
+				t.Fatalf("took %+v, want %s", got, tc.winner)
+			}
+			loser := "w"
+			if tc.winner == "w" {
+				loser = "a"
+				if got.Load != 3 || got.Score != plainScore(38, 3) {
+					t.Fatalf("warm choice %+v: load and score must stay what the host really carries", got)
+				}
+			}
+			if r, ok := rejectionFor(asn.Decision, loser); !ok || r.Reason != tc.reject {
+				t.Fatalf("rejection for %s = %+v, want %s", loser, r, tc.reject)
+			}
+			if !reflect.DeepEqual(e.ScoreMatrix(f.hosts), matrix) {
+				t.Fatal("planning with a warm host changed the score matrix")
+			}
+		})
+	}
+
+	// In a 1+2 chain the warm host takes the first slot it is entitled
+	// to: the zero-overlap Xen host still goes first.
+	clk := vclock.NewSim()
+	w := mkHost(t, kvm.Backend, "w", clk)
+	loadUp(t, w, 2)
+	hosts := []*hypervisor.Host{
+		mkHost(t, chv.Backend, "c1", clk), w,
+		mkHost(t, kvm.Backend, "k2", clk), mkHost(t, xen.Backend, "x1", clk),
+	}
+	asn, err := placement.New(placement.Config{}).Plan(
+		placement.Spec{Name: "vm", Primary: "c1", Secondaries: 2, Warm: "w"}, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := asn.Decision.Secondaries; len(s) != 2 || s[0].Host != "x1" || s[0].Warm || s[1].Host != "w" || !s[1].Warm {
+		t.Fatalf("chain = %+v, want x1 then the warm w", s)
+	}
+}
+
+// plainScore is the default-weight score of a single-secondary plan.
+func plainScore(overlap, load int) float64 { return 10*float64(overlap) + float64(load) }

@@ -25,6 +25,12 @@ import (
 type Secondary struct {
 	Host      hypervisor.Hypervisor
 	Transport Transport
+	// Warm, when set, is a memory of this guest already on Host (the
+	// fenced primary's copy after its replica was activated). It becomes
+	// the leg's replica memory and the seed ships only the pages where it
+	// and the guest differ (migration.Migrate); until then the leg is
+	// unseeded like any other.
+	Warm *memory.GuestMemory
 }
 
 // ErrLegGone is returned by per-leg accessors for an index that is out
@@ -94,7 +100,10 @@ type LegStatus struct {
 // newLeg builds the state for one secondary.
 func newLeg(sec Secondary, memBytes uint64, compression bool) *leg {
 	sender, _ := sec.Transport.(CheckpointSender)
-	mem := memory.NewGuestMemory(memBytes)
+	mem := sec.Warm
+	if mem == nil {
+		mem = memory.NewGuestMemory(memBytes)
+	}
 	l := &leg{
 		dst:     sec.Host,
 		tp:      sec.Transport,
@@ -251,6 +260,27 @@ func (r *Replicator) FreshestLeg() (int, error) {
 		return 0, errors.New("replication: no healthy seeded leg to activate")
 	}
 	return best, nil
+}
+
+// Settled reports whether leg i's replica holds exactly its last
+// acknowledged epoch with nothing owed: session protected, leg live and
+// seeded with no dirty backlog, and over a real network transport the
+// peer acknowledged that very epoch — its copy equals this replica.
+func (r *Replicator) Settled(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i < 0 || i >= len(r.legs) || !r.seeded || r.state != StateProtected {
+		return false
+	}
+	l := r.legs[i]
+	if l.dead || l.needsSeed || l.pending.Count() > 0 {
+		return false
+	}
+	if l.sender != nil {
+		acked, ok := l.sender.PeerAcked()
+		return ok && acked+1 == l.ackedSeq
+	}
+	return true
 }
 
 // ReplicaImageAt returns leg i's machine-state image and replica

@@ -568,6 +568,10 @@ func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicat
 		if _, isSender := sec.Transport.(CheckpointSender); isSender && len(secondaries) > 1 {
 			return nil, errors.New("replication: multi-leg chains require simulated transports (CheckpointSender fan-out unsupported)")
 		}
+		if sec.Warm != nil && sec.Warm.SizeBytes() != vm.Memory().SizeBytes() {
+			return nil, fmt.Errorf("replication: chain leg %d: warm copy is %d bytes, vm has %d",
+				i, sec.Warm.SizeBytes(), vm.Memory().SizeBytes())
+		}
 	}
 	if cfg.Resume != nil && len(secondaries) > 1 {
 		return nil, errors.New("replication: resume re-attaches a single leg; add further legs with AddLeg")
@@ -768,7 +772,8 @@ func (r *Replicator) Period() time.Duration {
 // Seed performs the initial live migration of the protected VM's
 // memory to leg 0 (Fig 3 "Migration"), full-copies the snapshot onto
 // every further leg while the VM is still paused, and resumes the VM
-// into the continuous replication phase.
+// into the continuous replication phase. A leg built on a warm copy
+// (Secondary.Warm) is sent only the pages where it and the guest differ.
 func (r *Replicator) Seed() (migration.Result, error) {
 	mode := migration.ModeXen
 	if r.cfg.Engine == EngineHERE {
@@ -822,17 +827,23 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	return res, nil
 }
 
-// seedLeg ships a full snapshot of the paused primary onto one leg:
-// account the transfer, copy every populated page into the leg's
-// replica memory, and store the translated machine-state image. The
-// primary must be paused.
+// seedLeg ships a snapshot of the paused primary onto one leg: account
+// the transfer, copy the pages into the leg's replica memory, and store
+// the translated machine-state image. An empty replica memory takes
+// every populated page, a warm copy the pages where it and the guest
+// differ. The primary must be paused.
 func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
 	image, err := r.translateState(state, l.dst)
 	if err != nil {
 		return err
 	}
 	mem := r.primary.Memory()
-	pages := mem.PopulatedList()
+	var pages []memory.PageNum
+	if l.mem.PopulatedPages() > 0 {
+		pages = memory.Diff(l.mem, mem)
+	} else {
+		pages = mem.PopulatedList()
+	}
 	bytes := int64(len(pages)) * memory.PageSize
 	if _, err := l.tp.Transfer(bytes, r.threads); err != nil {
 		return fmt.Errorf("replication: seeding %s: %w", l.dst.HostName(), err)

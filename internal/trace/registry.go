@@ -214,20 +214,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Set raises the counter to v if v is larger than the current value
-// (used to mirror an externally accumulated monotone total).
-func (c *Counter) Set(v int64) {
-	if c == nil {
-		return
-	}
-	for {
-		cur := c.v.Load()
-		if v <= cur || c.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value reports the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -35,14 +35,6 @@ func TestCounterSemantics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("value = %d", c.Value())
 	}
-	c.Set(3) // lower: ignored
-	if c.Value() != 5 {
-		t.Fatalf("Set lowered a counter to %d", c.Value())
-	}
-	c.Set(9)
-	if c.Value() != 9 {
-		t.Fatalf("Set = %d, want 9", c.Value())
-	}
 }
 
 func TestGauge(t *testing.T) {

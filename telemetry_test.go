@@ -10,6 +10,13 @@ import (
 	"time"
 
 	here "github.com/here-ft/here"
+	"github.com/here-ft/here/internal/hypervisor"
+	"github.com/here-ft/here/internal/kvm"
+	"github.com/here-ft/here/internal/memory"
+	"github.com/here-ft/here/internal/orchestrator"
+	"github.com/here-ft/here/internal/trace"
+	"github.com/here-ft/here/internal/vclock"
+	"github.com/here-ft/here/internal/xen"
 )
 
 // kindCount tallies trace events by kind name.
@@ -261,4 +268,85 @@ func TestTelemetryDisabled(t *testing.T) {
 	if got := prot.Totals().Checkpoints; got != 1 {
 		t.Fatalf("checkpoints = %d, want 1", got)
 	}
+}
+
+// TestTelemetryReprotectSeeds: the fleet's scrape says how each
+// re-protect was seeded. A forced failover of a healthy pair reverses it
+// and converges the fenced primary's copy (warm, the handful of pages
+// stored since the last checkpoint); the same failover with that host
+// crashed has no copy to keep and fills a replica elsewhere (cold, the
+// whole guest).
+func TestTelemetryReprotectSeeds(t *testing.T) {
+	const pages = 256
+	clk := vclock.NewSim()
+	reg := trace.NewRegistry()
+	m, err := orchestrator.New(orchestrator.Config{Clock: clk, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0, _ := xen.New("x0", clk)
+	k1, _ := kvm.New("k1", clk)
+	k2, _ := kvm.New("k2", clk)
+	for _, h := range []*hypervisor.Host{x0, k1, k2} {
+		if err := m.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func() string {
+		var prom bytes.Buffer
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		return prom.String()
+	}
+	expect := func(when string, lines ...string) {
+		t.Helper()
+		text := scrape()
+		for _, line := range lines {
+			if !strings.Contains(text, line+"\n") {
+				t.Errorf("%s: exposition missing %q", when, line)
+			}
+		}
+	}
+	expect("before any re-protect",
+		`here_reprotect_seeds_total{seed="warm"} 0`,
+		`here_reprotect_seeds_total{seed="cold"} 0`,
+		"here_reprotect_seed_pages_total 0")
+
+	p, err := m.Protect(orchestrator.VMSpec{Name: "vm", MemoryBytes: pages * memory.PageSize, VCPUs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := func(what string, pgs ...int) {
+		t.Helper()
+		for _, n := range pgs {
+			if err := p.VM().WriteGuest(0, memory.Addr(n)*memory.PageSize, []byte(what)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store("checkpointed", 1, 2, 3)
+	if err := m.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	store("lost with the old primary", 2, 9) // after the last checkpoint: what the warm seed ships
+	if _, err := m.Failover("vm"); err != nil {
+		t.Fatal(err)
+	}
+	expect("after the warm re-protect",
+		`here_reprotect_seeds_total{seed="warm"} 1`,
+		`here_reprotect_seeds_total{seed="cold"} 0`,
+		"here_reprotect_seed_pages_total 2")
+
+	if err := m.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	k1.Fail(hypervisor.Crashed, "test") // the primary now; its copy dies with it
+	if _, err := m.Failover("vm"); err != nil {
+		t.Fatal(err)
+	}
+	expect("after the cold re-protect",
+		`here_reprotect_seeds_total{seed="warm"} 1`,
+		`here_reprotect_seeds_total{seed="cold"} 1`,
+		fmt.Sprintf("here_reprotect_seed_pages_total %d", 2+pages))
 }
