@@ -52,24 +52,27 @@ bench-transport-smoke:
 	$(GO) test -run '^$$' -bench SendCheckpoint -benchmem -benchtime=1x ./internal/transport
 
 # Per-layer benchmarks of what a protection costs off the tick path:
-# the tracer (New, and Record cold / warm / wrapping) and a whole-fleet
-# Scheduler.Recover() of 192 protections in 4 groups (simnet, NoSync
-# journal), ns/op and B/op. bench-trace-smoke runs each once, in
-# `make check` and CI.
+# the tracer (New, and Record cold / warm / wrapping), a whole-fleet
+# Scheduler.Recover() of 192 protections in 4 groups, and the restart of
+# four 1 + 2 chains of 8 MiB guests through Recover() and the tick that
+# tops them up, from the deposits their hosts still hold (warm) or from
+# nothing (cold) — simnet, NoSync journal, ns/op and B/op.
+# bench-trace-smoke runs each once, in `make check` and CI.
 bench-trace:
 	$(GO) test -run '^$$' -bench Tracer -benchmem ./internal/trace
-	$(GO) test -run '^$$' -bench Recover -benchmem ./internal/fleet
+	$(GO) test -run '^$$' -bench 'Recover|RestartTopUp' -benchmem ./internal/fleet
 
 bench-trace-smoke:
 	$(GO) test -run '^$$' -bench Tracer -benchmem -benchtime=1x ./internal/trace
-	$(GO) test -run '^$$' -bench Recover -benchmem -benchtime=1x ./internal/fleet
+	$(GO) test -run '^$$' -bench 'Recover|RestartTopUp' -benchmem -benchtime=1x ./internal/fleet
 
 # Per-layer benchmark of the re-protect after a forced failover: one
-# Manager.Failover per op on a fully populated 1 MiB / 64 MiB guest
-# (simnet, NoSync journal, stores to one page in 64 since the last
-# checkpoint), warm (the fenced primary's copy is converged) against cold
-# (a full seed), ns/op, B/op and pages/op. bench-reprotect-smoke runs
-# each once, in `make check` and CI.
+# Manager.Failover per op on a fully populated guest (simnet, NoSync
+# journal, stores to 64 pages since the last checkpoint whatever the
+# guest's size), warm at 1 / 64 / 256 MiB (the fenced primary's copy is
+# converged from the dirty logs: ns/op and B/op must read flat) against
+# cold at 1 / 64 MiB (a full seed), ns/op, B/op and pages/op.
+# bench-reprotect-smoke runs each once, in `make check` and CI.
 bench-reprotect:
 	$(GO) test -run '^$$' -bench Reprotect -benchmem ./internal/orchestrator
 

@@ -12,6 +12,7 @@ import (
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/kvm"
+	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/orchestrator"
 	"github.com/here-ft/here/internal/replication"
 	"github.com/here-ft/here/internal/simnet"
@@ -326,4 +327,95 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkRestartTopUp is a daemon restart over 1 + 2 chains: Recover()
+// resumes one leg of each and the first Tick tops the chain back up. Four
+// fully populated 8 MiB guests in one group, simnet links, a NoSync
+// journal; every op stores into 16 pages of each guest, kills the daemon
+// and times Recover() plus that Tick. warm leaves the deposits of the
+// legs that are not resumed where the crash left them: the top-up lands
+// on their hosts and seeds from those copies, shipping what they lack.
+// cold drops them first, which is what a restart cost before: a fresh
+// replica memory per chain, filled with the whole guest.
+func BenchmarkRestartTopUp(b *testing.B) {
+	const guests, pages, dirty = 4, 8 << 20 / memory.PageSize, 16
+	for _, kind := range []string{"cold", "warm"} {
+		b.Run(kind, func(b *testing.B) {
+			dir := b.TempDir()
+			clk := vclock.NewSim()
+			ocfg := orchestrator.Config{Clock: clk}
+			hosts := newHosts(b, clk, "xxxxkk") // a primary per guest, the two legs they share
+			store, s := bootFleet(b, dir, 1, ocfg, hosts)
+			names := make([]string, guests)
+			write := func(tag byte, stride int) {
+				b.Helper()
+				for _, name := range names {
+					p, err := s.Lookup(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for n := int(tag) % stride; n < pages; n += stride {
+						if err := p.VM().WriteGuest(0, memory.Addr(n)*memory.PageSize, []byte{tag, byte(n), byte(n >> 8), 1}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			for i := range names {
+				names[i] = fmt.Sprintf("vm-%d", i)
+				if _, err := s.Protect(orchestrator.VMSpec{
+					Name: names[i], MemoryBytes: pages * memory.PageSize, VCPUs: 1, Secondaries: 2,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			write(0, 1)
+			settleFleet(b, s)
+			b.ReportAllocs()
+			var shipped int64
+			for i := 1; b.Loop(); i++ {
+				b.StopTimer()
+				write(byte(i), pages/dirty)
+				chains := s.StatusAll()
+				if err := store.Close(); err != nil {
+					b.Fatal(err)
+				}
+				for _, st := range chains {
+					if len(st.Secondaries) != 2 {
+						b.Fatalf("%s runs on %d legs before the crash", st.Name, len(st.Secondaries))
+					}
+					if kind == "cold" {
+						for _, h := range hosts {
+							if h.HostName() == st.Secondaries[1].Name {
+								h.DropReplica(st.Name)
+							}
+						}
+					}
+				}
+				store, s = bootFleet(b, dir, 1, ocfg, hosts)
+				b.StartTimer()
+				rec, err := s.Recover()
+				if err != nil || rec.Resumed != guests {
+					b.Fatalf("recover: %+v, %v", rec, err)
+				}
+				if err := s.Tick(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				for _, st := range s.StatusAll() {
+					if st.Mode != orchestrator.ModeProtected || len(st.Legs) != 2 || st.Legs[1].NeedsSeed {
+						b.Fatalf("%s after the first tick: %s, legs %+v", st.Name, st.Mode, st.Legs)
+					}
+					shipped += st.Totals.PagesSent
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(shipped)/float64(b.N)/guests, "pages/guest")
+			if err := store.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

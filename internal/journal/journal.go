@@ -702,7 +702,15 @@ func (s *Store) LogSize() int64 {
 // compaction threshold snapshots and rotates the log before returning.
 // With GroupCommit the fsync is deferred to a shared flush leader and
 // Append returns once a batched sync has covered its LSN.
-func (s *Store) Append(rec Record) error {
+func (s *Store) Append(rec Record) error { return s.append(rec, true) }
+
+// AppendNoWait logs one record like Append but returns once the frame is
+// written, before it is durable: the next Append (or Sync) covers it,
+// and a machine crash before that may lose it, as a torn tail would. Only
+// for a record whose loss recovery already resolves.
+func (s *Store) AppendNoWait(rec Record) error { return s.append(rec, false) }
+
+func (s *Store) append(rec Record, wait bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -724,7 +732,7 @@ func (s *Store) Append(rec Record) error {
 		s.mu.Unlock()
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if !s.opts.GroupCommit && !s.opts.NoSync {
+	if wait && !s.opts.GroupCommit && !s.opts.NoSync {
 		if err := s.wal.Sync(); err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("journal: fsync: %w", err)
@@ -741,7 +749,7 @@ func (s *Store) Append(rec Record) error {
 		s.mu.Unlock()
 		return err
 	}
-	if s.opts.GroupCommit {
+	if wait && s.opts.GroupCommit {
 		if s.opts.NoSync {
 			// Nothing to batch without fsyncs: settle the LSN now
 			// instead of paying the flush window per append.

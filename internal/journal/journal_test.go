@@ -353,3 +353,39 @@ func TestStateCloneIsolation(t *testing.T) {
 		t.Fatalf("mutating a State() copy leaked into the store: %+v", p)
 	}
 }
+
+// TestAppendNoWaitIsCoveredByTheNextWait: an un-waited append writes its
+// frame and folds into the state at once but costs no fsync; the next
+// Append's wait — plain or group commit — or a Sync makes both durable
+// with one, and a restart replays both.
+func TestAppendNoWaitIsCoveredByTheNextWait(t *testing.T) {
+	for _, opts := range []Options{{}, {GroupCommit: true, FlushWindow: -1}} {
+		dir := t.TempDir()
+		s, _ := openT(t, dir, opts)
+		appendT(t, s, Record{Kind: RecProtect, VM: "svc", Primary: "xen0", Secondary: "kvm0"})
+		appendT(t, s, Record{Kind: RecFenceIntent, VM: "svc", Generation: 1, Target: "kvm0", Fence: 1})
+		base, size := s.Fsyncs(), s.LogSize()
+		if err := s.AppendNoWait(Record{Kind: RecFailover, VM: "svc", Generation: 1, Primary: "kvm0", VMName: "svc-g1", Fence: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if p := s.State().Protections["svc"]; s.Fsyncs() != base || s.LogSize() <= size || p.Generation != 1 || p.Pending != nil {
+			t.Fatalf("%+v: after the un-waited append: %d fsyncs (was %d), log %d bytes (was %d), state %+v",
+				opts, s.Fsyncs(), base, s.LogSize(), size, p)
+		}
+		appendT(t, s, Record{Kind: RecReprotect, VM: "svc", Secondary: "xen0"})
+		if got := s.Fsyncs(); got != base+1 {
+			t.Fatalf("%+v: %d fsyncs for the pair, want one", opts, got-base)
+		}
+		if err := s.AppendNoWait(Record{Kind: RecAck, VM: "svc", Generation: 1, Epoch: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil || s.Fsyncs() != base+2 {
+			t.Fatalf("%+v: Sync after an un-waited append: %v, %d fsyncs", opts, err, s.Fsyncs()-base)
+		}
+		s.Close()
+		s2, rep := openT(t, dir, opts)
+		if p := s2.State().Protections["svc"]; rep.Replayed != 5 || p.Primary != "kvm0" || p.Secondary != "xen0" || p.AckedEpoch != 5 {
+			t.Fatalf("%+v: replayed %d records into %+v", opts, rep.Replayed, p)
+		}
+	}
+}

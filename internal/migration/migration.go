@@ -107,6 +107,15 @@ type Config struct {
 	// later rounds delta against earlier ones. Nil uses a private
 	// raw-mode encoder.
 	Codec *wire.Encoder
+	// Drift makes the migration converge a dst that already holds a copy
+	// of this guest instead of filling it: a dirty log naming every page
+	// where dst and the guest differ, apart from those in the guest's own
+	// log. Nil fills dst from scratch.
+	Drift *memory.DirtyBitmap
+	// Logged, when set, receives every page the migration takes out of
+	// the guest's dirty log (Drift included): what a further copy that was
+	// current when that log began needs to reach the final state.
+	Logged *memory.DirtyBitmap
 	// Tracer records one "seed-round" span per pre-copy iteration
 	// (Epoch is the iteration number) plus one for the final
 	// stop-and-copy. Nil disables tracing.
@@ -123,6 +132,9 @@ type Result struct {
 	Iterations int
 	// PagesSent counts page transfers, including resends.
 	PagesSent int64
+	// LaterPages is the part of PagesSent shipped after the first pass:
+	// the later pre-copy rounds and the stop-and-copy.
+	LaterPages int64
 	// BytesSent is the traffic put on the link.
 	BytesSent int64
 	// ProblematicResent counts pages resent in stop-and-copy because
@@ -140,13 +152,13 @@ type Result struct {
 // On success the VM is paused with its final state captured; dst holds
 // a byte-identical copy of guest memory.
 //
-// A dst that already holds pages — a warm copy of this guest — is
-// converged, not filled: the first pass carries only the pages where dst
-// and the guest differ (memory.Diff) plus those in the dirty log, and
-// every round goes out, even an empty one, as overwrite frames — right
-// against any replica content, such as a seedSender's peer's own copy,
-// which the caller guarantees equals the guest outside that first pass
-// (DESIGN §11). An empty dst is filled as ever, zero runs included.
+// With cfg.Drift, dst — a warm copy of this guest — is converged, not
+// filled: the first pass carries only Drift and the guest's dirty log, no
+// content is compared, and every round goes out, even an empty one, as
+// overwrite frames — right against any replica content, such as a
+// seedSender's peer's own copy, which the caller guarantees equals the
+// guest outside that first pass (DESIGN §11). Without it dst is filled
+// as ever, zero runs included.
 func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, error) {
 	var res Result
 	if vm == nil || dst == nil {
@@ -188,15 +200,15 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 
 	// Reset tracking so the migration sees a clean slate, then treat
 	// every page as dirty for the initial full-memory pass — or, when
-	// converging, the pages that differ, folded into the dirty log.
-	converge := dst.PopulatedPages() > 0
+	// converging, the drift, folded into the dirty log.
+	converge := cfg.Drift != nil
 	bitmap := vm.Tracker().Bitmap()
 	if converge {
-		for _, p := range memory.Diff(dst, vm.Memory()) {
+		for _, p := range cfg.Drift.Peek() {
 			bitmap.Set(p)
 		}
 	}
-	batch := bitmap.Snapshot()
+	batch := logged(cfg.Logged, bitmap.Snapshot())
 	for v := 0; v < vm.NumVCPUs(); v++ {
 		vm.Tracker().Ring(v).Drain()
 	}
@@ -206,6 +218,7 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 			batch[i] = memory.PageNum(i)
 		}
 	}
+	firstPass := int64(len(batch))
 
 	problematic := make(map[memory.PageNum]int)
 	for iter := 1; ; iter++ {
@@ -233,7 +246,7 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 		if cfg.Mode == ModeHERE {
 			collectProblematic(vm, problematic)
 		}
-		batch = vm.Tracker().Bitmap().Snapshot()
+		batch = logged(cfg.Logged, bitmap.Snapshot())
 		if len(batch) <= threshold || iter >= maxIter {
 			break
 		}
@@ -262,9 +275,20 @@ func Migrate(vm *hypervisor.VM, dst *memory.GuestMemory, cfg Config) (Result, er
 		return res, fmt.Errorf("migration: capture: %w", err)
 	}
 	res.FinalState = state
+	res.LaterPages = res.PagesSent - firstPass
 	res.Downtime = clock.Since(pauseStart)
 	res.Duration = clock.Since(start)
 	return res, nil
+}
+
+// logged notes a dirty-log snapshot in Config.Logged and returns it.
+func logged(into *memory.DirtyBitmap, batch []memory.PageNum) []memory.PageNum {
+	if into != nil {
+		for _, p := range batch {
+			into.Set(p)
+		}
+	}
+	return batch
 }
 
 // transferBatch encodes one batch of pages into a wire stream, accounts

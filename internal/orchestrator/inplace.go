@@ -158,7 +158,7 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 			tr.Bitmap().Set(pg)
 		}
 		resume := &replication.ResumeState{Mem: dep.Mem, Image: dep.Image, Seq: seq}
-		if err := m.wire(p, host, []*hypervisor.Host{depHost}, resume, nil); err != nil {
+		if _, err := m.wire(p, host, []*hypervisor.Host{depHost}, resume, nil); err != nil {
 			// The guest is saved either way; leave it unprotected and let
 			// the next tick re-pair.
 			return true, err

@@ -449,8 +449,9 @@ type Manager struct {
 	recInPlace   *trace.Counter
 	recEscalated *trace.Counter
 
-	// here_reprotect_*: re-protect seeds by kind (warmCopy) and their pages.
-	seedsWarm, seedsCold, seedPages *trace.Counter
+	// here_reprotect_*: re-protect seeds by kind (warmCopy), the pages of
+	// their first pass and those of their later rounds.
+	seedsWarm, seedsCold, seedPages, seedLater *trace.Counter
 
 	mu      sync.Mutex
 	hosts   []*hypervisor.Host
@@ -522,7 +523,9 @@ func New(cfg Config) (*Manager, error) {
 		m.seedsWarm = cfg.Metrics.Counter(trace.Labeled("here_reprotect_seeds_total", "seed", "warm"), seedsHelp)
 		m.seedsCold = cfg.Metrics.Counter(trace.Labeled("here_reprotect_seeds_total", "seed", "cold"), seedsHelp)
 		m.seedPages = cfg.Metrics.Counter("here_reprotect_seed_pages_total",
-			"pages shipped by re-protect seeds")
+			"distinct pages re-protect seeds shipped in their first pass")
+		m.seedLater = cfg.Metrics.Counter("here_reprotect_seed_later_pages_total",
+			"pages re-protect seeds shipped again, or first, in later pre-copy rounds and the stop-and-copy")
 	}
 	m.publishAll()
 	return m, nil
@@ -825,7 +828,7 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 		recoveryPol: m.cfg.Recovery,
 	}
 	prot.tr = m.newTracer()
-	if err := m.wire(prot, primary, asn.Secondaries, nil, nil); err != nil {
+	if _, err := m.wire(prot, primary, asn.Secondaries, nil, nil); err != nil {
 		_ = primary.DestroyVM(spec.Name)
 		return nil, err
 	}
@@ -865,23 +868,24 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 // lacks; with a resume state (replica memory + last acked image
 // surviving on a secondary) the replicator re-attaches that single leg
 // in degraded mode and the first healthy cycle ships only a delta
-// resync. Caller holds m.mu.
-func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries []*hypervisor.Host, resume *replication.ResumeState, warm *warmCopy) error {
+// resync. Returns the pages the seed shipped after its first pass.
+// Caller holds m.mu.
+func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries []*hypervisor.Host, resume *replication.ResumeState, warm *warmCopy) (later int64, err error) {
 	if len(secondaries) == 0 {
-		return fmt.Errorf("%w: nothing to wire", ErrNoHeterogeneous)
+		return 0, fmt.Errorf("%w: nothing to wire", ErrNoHeterogeneous)
 	}
 	legs := make([]replication.Secondary, 0, len(secondaries))
 	var dialed replication.Transport
 	if m.cfg.DialTransport != nil {
 		if len(secondaries) > 1 {
-			return fmt.Errorf("orchestrator: a dialed network transport replicates to a single secondary, got %d", len(secondaries))
+			return 0, fmt.Errorf("orchestrator: a dialed network transport replicates to a single secondary, got %d", len(secondaries))
 		}
 		// A re-wiring replaces the protection's dedicated client; close
 		// the old one so its reconnect loop stops.
 		closeTransport(prot)
 		t, err := m.cfg.DialTransport(prot.Name, prot.vm.Memory().SizeBytes(), m.guard.Generation())
 		if err != nil {
-			return fmt.Errorf("orchestrator: dial transport: %w", err)
+			return 0, fmt.Errorf("orchestrator: dial transport: %w", err)
 		}
 		dialed = t
 		legs = append(legs, replication.Secondary{Host: secondaries[0], Transport: t})
@@ -889,20 +893,20 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 		for _, s := range secondaries {
 			link, err := m.linkBetween(primary, s)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			legs = append(legs, replication.Secondary{Host: s, Transport: link})
 		}
 	}
 	for i, s := range secondaries {
 		if warm != nil && s == warm.host {
-			legs[i].Warm = warm.mem
+			legs[i].Warm, legs[i].Drift = warm.mem, warm.drift
 		}
 	}
 	pm, err := period.New(period.Config{D: prot.budget, Tmax: prot.tmax})
 	if err != nil {
 		closeIfDialed(m, dialed)
-		return err
+		return 0, err
 	}
 	rep, err := replication.NewChain(prot.vm, legs, replication.Config{
 		Engine:        replication.EngineHERE,
@@ -919,13 +923,15 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	})
 	if err != nil {
 		closeIfDialed(m, dialed)
-		return err
+		return 0, err
 	}
 	if resume == nil {
-		if _, err := rep.Seed(); err != nil {
+		res, err := rep.Seed()
+		if err != nil {
 			closeIfDialed(m, dialed)
-			return err
+			return 0, err
 		}
+		later = res.LaterPages
 	}
 	mon, err := failover.NewMonitorConfig(primary, failover.Config{
 		Interval: m.cfg.HeartbeatInterval,
@@ -935,7 +941,7 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	})
 	if err != nil {
 		closeIfDialed(m, dialed)
-		return err
+		return 0, err
 	}
 	prot.rep = rep
 	prot.mon = mon
@@ -948,7 +954,7 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	// restarted control plane can resume with a delta resync instead of
 	// a full re-seed; refreshed after every acknowledged checkpoint.
 	m.depositReplica(prot)
-	return nil
+	return later, nil
 }
 
 // closeTransport tears down a protection's dedicated network client,
@@ -1362,7 +1368,8 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	warm := &warmCopy{}
 	if host, ok := p.primary.(*hypervisor.Host); ok && host.Health() == hypervisor.Healthy {
 		if err := host.DestroyVM(p.vm.Name()); err == nil && settled {
-			warm.host, warm.mem = host, p.vm.Memory()
+			// Stopped for good, so its dirty log is final: the drift.
+			warm.host, warm.mem, warm.drift = host, p.vm.Memory(), p.vm.Tracker().Bitmap()
 		}
 	}
 	m.record(EventFailedOver, name,
@@ -1370,13 +1377,30 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	p.vm = res.VM
 	p.primary = target
 	m.retireChain(p)
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFailover, VM: name,
-		Generation: gen, Primary: p.primary.HostName(), VMName: replicaName, Fence: token,
-	}); err != nil {
+	// Written, not waited for: the intent is durable, and recovery commits
+	// an intent whose RecFailover a machine crash lost by probing the target
+	// (resolveIntent). The re-protect's durable append covers this one, so
+	// Failover still returns with every record on disk. Never on the tick.
+	j := m.cfg.Journal
+	if j != nil {
+		if err := j.AppendNoWait(journal.Record{
+			Kind: journal.RecFailover, VM: name, EventSeq: m.lastSeq.Load(),
+			Generation: gen, Primary: p.primary.HostName(), VMName: replicaName, Fence: token,
+		}); err != nil {
+			return res, err
+		}
+	}
+	if err := m.crash("failover-journaled"); err != nil {
 		return res, err
 	}
-	if err := m.tryReprotect(p, warm); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
+	err = m.tryReprotect(p, warm)
+	if err != nil && j != nil {
+		// No durable RecReprotect followed (no heterogeneous spare).
+		if serr := j.Sync(); serr != nil {
+			return res, serr
+		}
+	}
+	if err != nil && !errors.Is(err, ErrNoHeterogeneous) {
 		return res, err
 	}
 	return res, nil
@@ -1561,10 +1585,23 @@ func (m *Manager) pruneLegs(p *Protection) error {
 	return nil
 }
 
+// warmDeposit returns the replica memory h still holds for p from an
+// earlier chain — a restart resumes one leg and leaves the others'
+// deposits behind — when it fits the guest, else nil.
+func warmDeposit(p *Protection, h *hypervisor.Host) *memory.GuestMemory {
+	dep, ok := h.Replica(p.Name)
+	if !ok || dep.Mem == nil || dep.Mem.SizeBytes() != p.vm.Memory().SizeBytes() {
+		return nil
+	}
+	return dep.Mem
+}
+
 // topUpLegs adds replica legs until the chain is back at its requested
 // width, planning replacements through the placement engine against
-// the hosts not already in the chain. Only simulated-link fleets fan
-// out; a dialed network transport stays pairwise. Caller holds m.mu.
+// the hosts not already in the chain, a host that holds a warmDeposit
+// preferred: its leg seeds from that copy. Once the chain is at width no
+// host outside it keeps a deposit. Only simulated-link fleets fan out; a
+// dialed network transport stays pairwise. Caller holds m.mu.
 func (m *Manager) topUpLegs(p *Protection) error {
 	if m.cfg.DialTransport != nil {
 		return nil
@@ -1589,15 +1626,18 @@ func (m *Manager) topUpLegs(p *Protection) error {
 	if missing <= 0 {
 		return nil
 	}
+	spec := placement.Spec{Name: p.Name, Secondaries: missing, Primary: primary.HostName()}
 	pool := make([]*hypervisor.Host, 0, len(m.hosts))
 	for _, h := range m.hosts {
-		if !inChain[h.HostName()] {
-			pool = append(pool, h)
+		if inChain[h.HostName()] {
+			continue
+		}
+		pool = append(pool, h)
+		if spec.Warm == "" && warmDeposit(p, h) != nil {
+			spec.Warm = h.HostName()
 		}
 	}
-	asn, err := m.planner.PlanSecondaries(placement.Spec{
-		Name: p.Name, Secondaries: missing, Primary: primary.HostName(),
-	}, primary, pool)
+	asn, err := m.planner.PlanSecondaries(spec, primary, pool)
 	if err != nil {
 		// No eligible replacement right now; keep running at reduced
 		// width and retry next round.
@@ -1609,12 +1649,22 @@ func (m *Manager) topUpLegs(p *Protection) error {
 		if err != nil {
 			return err
 		}
-		if err := p.rep.AddLeg(replication.Secondary{Host: h, Transport: link}); err != nil {
+		if err := p.rep.AddLeg(replication.Secondary{Host: h, Transport: link, Warm: warmDeposit(p, h)}); err != nil {
 			return fmt.Errorf("orchestrator: vm %q: %w", p.Name, err)
 		}
+		// The deposit's memory is the leg's now, and about to change under
+		// its stale image: parked again, with a matching one, at the first ack.
+		h.DropReplica(p.Name)
 		p.secondaries = append(p.secondaries, h)
 		m.record(EventReprotected, p.Name,
 			fmt.Sprintf("%s (%s) joins the chain", h.HostName(), h.Product()))
+	}
+	if asn.Decision.Shortfall == 0 {
+		// Back at width: what a host outside the chain still holds is
+		// nobody's replica (a no-op for the ones that just joined).
+		for _, h := range pool {
+			h.DropReplica(p.Name)
+		}
 	}
 	return m.journalAppend(journal.Record{
 		Kind: journal.RecReprotect, VM: p.Name,
@@ -1791,15 +1841,17 @@ func (m *Manager) handleFailure(p *Protection) error {
 }
 
 // warmCopy is what a forced failover keeps for the re-protect that
-// follows it: the destroyed primary's memory, still on its host, which
-// differs from the activated replica by the pages dirtied since the last
-// acknowledged checkpoint — what a seed that converges it ships. host
-// and mem are nil when nothing was kept: the old host was unhealthy,
-// DestroyVM failed (the copy may still run), or the retiring session was
-// not settled. A nil *warmCopy is any other re-protect.
+// follows it: the destroyed primary's memory, still on its host, and its
+// dirty log, which — the session was settled — names every page where
+// that memory differs from the activated replica: what a seed that
+// converges it ships, with what the new primary dirtied since. All nil
+// when nothing was kept: the old host was unhealthy, DestroyVM failed
+// (the copy may still run), or the retiring session was not settled. A
+// nil *warmCopy is any other re-protect.
 type warmCopy struct {
-	host *hypervisor.Host
-	mem  *memory.GuestMemory
+	host  *hypervisor.Host
+	mem   *memory.GuestMemory
+	drift *memory.DirtyBitmap
 }
 
 // tryReprotect pairs an unprotected VM with a freshly planned chain of
@@ -1829,22 +1881,29 @@ func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
 		return err
 	}
 	p.decision = asn.Decision
-	if err := m.wire(p, primary, asn.Secondaries, nil, warm); err != nil {
+	later, err := m.wire(p, primary, asn.Secondaries, nil, warm)
+	if err != nil {
 		return err
 	}
 	detail := fmt.Sprintf("%s (%s) -> %s", primary.HostName(), primary.Product(),
 		chainDetail(asn.Secondaries))
-	shipped := p.rep.Totals().PagesSent
+	// Distinct pages, at most the guest's per leg; what a busy guest made
+	// the later rounds carry is counted apart.
+	first := p.rep.Totals().PagesSent - later
 	seed, seeds := "cold seed", m.seedsCold
 	for _, ch := range asn.Decision.Secondaries {
 		if ch.Warm {
-			seed = fmt.Sprintf("warm seed: %d of %d pages", shipped,
+			seed = fmt.Sprintf("warm seed: %d of %d pages", first,
 				len(asn.Secondaries)*int(p.vm.Memory().NumPages()))
+			if later > 0 {
+				seed += fmt.Sprintf(", %d more in later rounds", later)
+			}
 			seeds = m.seedsWarm
 		}
 	}
 	seeds.Inc()
-	m.seedPages.Add(shipped)
+	m.seedPages.Add(first)
+	m.seedLater.Add(later)
 	if warm != nil { // a forced failover: the only re-protect with a choice to report
 		detail += "; " + seed
 	}

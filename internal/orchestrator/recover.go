@@ -363,7 +363,7 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 			seq = jp.AckedEpoch
 		}
 		resume := &replication.ResumeState{Mem: deposit.Mem, Image: deposit.Image, Seq: seq}
-		if err := m.wire(prot, primary, []*hypervisor.Host{host}, resume, nil); err != nil {
+		if _, err := m.wire(prot, primary, []*hypervisor.Host{host}, resume, nil); err != nil {
 			return err
 		}
 		rep.Resumed++
@@ -382,7 +382,7 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 	// No deposit (the replica hosts rebooted): a full re-seed of the
 	// surviving chain, journaled as a re-pairing so the acked-epoch
 	// cursor resets.
-	if err := m.wire(prot, primary, secondaries, nil, nil); err != nil {
+	if _, err := m.wire(prot, primary, secondaries, nil, nil); err != nil {
 		return err
 	}
 	rep.Reseeded++
@@ -444,7 +444,7 @@ func (m *Manager) recoverRecreate(prot *Protection, jp *journal.Protection,
 		rep.Recreated++
 		return nil
 	}
-	if err := m.wire(prot, primary, secondaries, nil, nil); err != nil {
+	if _, err := m.wire(prot, primary, secondaries, nil, nil); err != nil {
 		return err
 	}
 	rep.Recreated++

@@ -12,10 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/here-ft/here/internal/chv"
 	"github.com/here-ft/here/internal/failover"
 	"github.com/here-ft/here/internal/faults"
 	"github.com/here-ft/here/internal/hypervisor"
@@ -56,9 +59,12 @@ func newCrashHarnessOn(t *testing.T, kinds string, clk vclock.Clock) *crashHarne
 		name := string(c) + string(rune('0'+i))
 		var host *hypervisor.Host
 		var err error
-		if c == 'x' {
+		switch c {
+		case 'x':
 			host, err = xen.New(name, clk)
-		} else {
+		case 'c':
+			host, err = chv.New(name, clk)
+		default:
 			host, err = kvm.New(name, clk)
 		}
 		if err != nil {
@@ -447,6 +453,246 @@ func TestRestartDestroysStaleCopyAfterInterruptedForcedFailover(t *testing.T) {
 	h.ticks(1)
 	if got := h.status("vm"); got.Mode != ModeProtected {
 		t.Fatalf("mode %s after re-pairing, want protected", got.Mode)
+	}
+}
+
+// TestRestartAfterFailoverRecordWrittenNotWaited: a forced failover
+// writes RecFailover without waiting for it; the re-protect's durable
+// append covers it. Kill the daemon in between. If only the process died
+// the frame is in the log and replays; if the machine died the un-synced
+// tail is gone and the journal holds the intent alone, which recovery
+// commits by probing the target. Either way: one live copy, on the
+// target, generation and fence moving forward only.
+func TestRestartAfterFailoverRecordWrittenNotWaited(t *testing.T) {
+	for _, tailLost := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tailLost=%v", tailLost), func(t *testing.T) {
+			h := newCrashHarness(t, "xk")
+			if _, err := h.m.Protect(VMSpec{
+				Name: "vm", MemoryBytes: 512 * memory.PageSize, VCPUs: 2,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			h.ticks(3)
+			st0 := h.status("vm")
+			fence0 := h.m.Guard().Generation()
+
+			boom := errors.New("daemon killed with RecFailover written, RecReprotect not yet durable")
+			var beforeRecord int64
+			h.m.crashHook = func(p string) error {
+				switch p {
+				case "failover-activated":
+					beforeRecord = h.store.LogSize()
+				case "failover-journaled":
+					return boom
+				}
+				return nil
+			}
+			if _, err := h.m.Failover("vm"); !errors.Is(err, boom) {
+				t.Fatalf("Failover = %v, want the injected crash", err)
+			}
+			if grown := h.store.LogSize(); grown <= beforeRecord {
+				t.Fatalf("log is %d bytes, was %d before RecFailover: the record was not written", grown, beforeRecord)
+			}
+			if n := vmInstances(h.hosts, "vm"); n != 1 {
+				t.Fatalf("%d live copies at the kill, want 1: the old primary is fenced before the record", n)
+			}
+			h.kill()
+			if tailLost {
+				if err := os.Truncate(filepath.Join(h.dir, "wal.log"), beforeRecord); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jrep, rec := h.restart()
+			if jrep.TornBytes != 0 {
+				t.Fatalf("journal report %+v: the cut was meant to fall on a frame boundary", jrep)
+			}
+			// Both ways the activation is committed and comes back
+			// unprotected; the first tick re-pairs it.
+			if rec.Unprotected != 1 || rec.FailedOver+rec.Lost+rec.Resumed != 0 {
+				t.Fatalf("recover report = %+v, want the committed activation back unprotected", rec)
+			}
+			committed := 0
+			for _, ev := range h.m.Events() {
+				if ev.Kind == EventRecovered && strings.Contains(ev.Detail, "crash-interrupted failover committed") {
+					committed++
+				}
+			}
+			if (committed == 1) != tailLost {
+				t.Fatalf("%d intents resolved by probing the target with tailLost=%v", committed, tailLost)
+			}
+			st := h.status("vm")
+			if st.Generation != st0.Generation+1 || st.Primary.Name != st0.Secondary.Name {
+				t.Fatalf("recovered as gen %d on %s, want gen %d on %s",
+					st.Generation, st.Primary.Name, st0.Generation+1, st0.Secondary.Name)
+			}
+			if rec.Fence <= fence0 || h.m.Guard().Generation() < rec.Fence {
+				t.Fatalf("fence %d → %d (guard %d), want it to advance", fence0, rec.Fence, h.m.Guard().Generation())
+			}
+			if n := vmInstances(h.hosts, "vm"); n != 1 {
+				t.Fatalf("%d live copies after restart, want 1", n)
+			}
+			h.ticks(2)
+			if got := h.status("vm"); got.Mode != ModeProtected || got.Generation != st.Generation {
+				t.Fatalf("mode %s at generation %d after re-pairing, want protected at %d", got.Mode, got.Generation, st.Generation)
+			}
+			if n := vmInstances(h.hosts, "vm"); n != 1 {
+				t.Fatalf("%d live copies after re-pairing, want 1", n)
+			}
+		})
+	}
+}
+
+// deposits counts the replica deposits of a protection across the fleet.
+func deposits(hosts []*hypervisor.Host, prot string) int {
+	n := 0
+	for _, h := range hosts {
+		if _, ok := h.Replica(prot); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRestartTopsUpFromTheDepositItFinds: a restart resumes one leg of a
+// 1 + 2 chain; the deposit the other leg parked is still on its host.
+// The top-up must land there and seed the leg from that copy — the pages
+// stored since its last checkpoint, not the guest. A deposit of another
+// size is no copy of this guest: that leg is filled cold, as before.
+func TestRestartTopsUpFromTheDepositItFinds(t *testing.T) {
+	const populated = 300
+	for _, mismatch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sizeMismatch=%v", mismatch), func(t *testing.T) {
+			h := newCrashHarness(t, "xkc")
+			p, err := h.m.Protect(VMSpec{Name: "vm", MemoryBytes: 512 * memory.PageSize, VCPUs: 1, Secondaries: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := func(tag byte, pages ...int) {
+				t.Helper()
+				vm := h.m.prots["vm"].vm
+				for _, n := range pages {
+					rec := []byte(fmt.Sprintf("page %06d tag %03d", n, tag))
+					if err := vm.WriteGuest(0, memory.Addr(n)*memory.PageSize+32, rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for n := 0; n < populated; n++ {
+				store(1, n)
+			}
+			h.ticks(3)
+			if len(p.secondaries) != 2 {
+				t.Fatalf("chain %v, want two legs", secondaryNames(p.secondaries))
+			}
+			first, second := p.secondaries[0], p.secondaries[1]
+			stale, ok := second.Replica("vm")
+			if !ok {
+				t.Fatalf("%s holds no deposit before the crash", second.HostName())
+			}
+			since := []int{4, 5, 299, 400}
+			store(2, since...) // stored, never checkpointed: the daemon dies first
+
+			h.kill()
+			_, rec := h.restart()
+			if st := h.status("vm"); rec.Resumed != 1 || len(st.Legs) != 1 || st.Secondaries[0].Name != first.HostName() {
+				t.Fatalf("recover report %+v, chain %+v: want one leg resumed on %s", rec, st.Secondaries, first.HostName())
+			}
+			if mismatch {
+				if err := second.DepositReplica("vm", hypervisor.ReplicaDeposit{
+					Mem: memory.NewGuestMemory(64 * memory.PageSize), Image: stale.Image, Epoch: stale.Epoch,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.ticks(1)
+
+			st := h.status("vm")
+			if st.Mode != ModeProtected || len(st.Legs) != 2 || st.Secondaries[1].Name != second.HostName() ||
+				st.Legs[1].NeedsSeed || st.Legs[1].AckedEpoch != st.Legs[0].AckedEpoch {
+				t.Fatalf("mode %s, chain %+v, legs %+v: want the old pair back on one epoch", st.Mode, st.Secondaries, st.Legs)
+			}
+			dep, ok := second.Replica("vm")
+			if !ok {
+				t.Fatalf("%s holds no deposit after the top-up's first ack", second.HostName())
+			}
+			// The tick shipped the resumed leg's delta resync and the other's seed.
+			if sent, want := st.Totals.PagesSent, int64(2*len(since)); mismatch {
+				if dep.Mem == stale.Mem || sent < populated {
+					t.Fatalf("shipped %d pages onto a copy of another size, want a cold fill (≥ %d)", sent, populated)
+				}
+			} else if dep.Mem != stale.Mem || sent != want {
+				t.Fatalf("shipped %d pages (same copy: %v), want %d: the %d stored since the last checkpoint, to each leg",
+					sent, dep.Mem == stale.Mem, want, len(since))
+			}
+			for _, host := range h.hosts[1:] {
+				dep, _ := host.Replica("vm")
+				if d := memory.Diff(dep.Mem, h.m.prots["vm"].vm.Memory()); len(d) > 0 {
+					t.Fatalf("the deposit on %s differs from the guest in pages %v", host.HostName(), d)
+				}
+			}
+			store(3, 6, 401)
+			h.ticks(2)
+			if n := deposits(h.hosts, "vm"); n != 2 {
+				t.Fatalf("%d deposits for a two-leg chain", n)
+			}
+		})
+	}
+}
+
+// TestRestartsLeakNoDeposits: every restart resumes one leg per chain and
+// tops the rest up. When the top-up cannot take the host the old leg was
+// on (starved for that round) the deposit it left there is nobody's
+// replica; it used to stay for the life of the host.
+func TestRestartsLeakNoDeposits(t *testing.T) {
+	h := newCrashHarness(t, "xxccc") // two primaries, two legs each, one spare
+	names := []string{"vm-a", "vm-b"}
+	for _, name := range names {
+		if _, err := h.m.Protect(VMSpec{Name: name, MemoryBytes: 128 * memory.PageSize, VCPUs: 1, Secondaries: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.ticks(2)
+	for cycle := 1; cycle <= 6; cycle++ {
+		for i, name := range names {
+			if err := h.m.prots[name].vm.WriteGuest(0, memory.Addr(cycle+8*i)*memory.PageSize, []byte{byte(cycle)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.kill()
+		if _, rec := h.restart(); rec.Resumed != len(names) {
+			t.Fatalf("cycle %d: recover report %+v, want every chain resumed", cycle, rec)
+		}
+		// Every other restart, the host of a leg that was not resumed sits
+		// out the top-up round and comes back with its RAM intact.
+		var out *hypervisor.Host
+		if cycle%2 == 0 {
+			resumed := h.status("vm-a").Secondaries[0].Name
+			for _, cand := range h.hosts {
+				if _, held := cand.Replica("vm-a"); held && cand.HostName() != resumed {
+					out = cand
+				}
+			}
+			if out == nil {
+				t.Fatalf("cycle %d: no host but %s holds a deposit of vm-a", cycle, resumed)
+			}
+			out.Fail(hypervisor.Starved, "sits out the top-up")
+		}
+		h.ticks(1)
+		if out != nil {
+			out.Recover()
+		}
+		h.ticks(2)
+		total := 0
+		for _, name := range names {
+			st := h.status(name)
+			if st.Mode != ModeProtected || len(st.Legs) != 2 {
+				t.Fatalf("cycle %d: %s is %s with %d legs, want protected at width 2", cycle, name, st.Mode, len(st.Legs))
+			}
+			total += deposits(h.hosts, name)
+		}
+		if want := len(names) * 2; total != want {
+			t.Fatalf("cycle %d: %d deposits held for %d guests × 2 legs", cycle, total, len(names))
+		}
 	}
 }
 

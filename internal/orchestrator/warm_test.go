@@ -506,6 +506,45 @@ func TestWarmReprotectOnSecondLegOfChain(t *testing.T) {
 	}
 }
 
+// TestWarmSeedReportsDistinctPages: under a guest that keeps storing
+// while it is seeded, the later rounds re-send pages; the event and
+// here_reprotect_seed_pages_total used to add those in, so "N of M pages"
+// read N > M. N is the first pass — distinct pages, at most the guest's —
+// and the later rounds are reported beside it.
+func TestWarmSeedReportsDistinctPages(t *testing.T) {
+	const pages = 512
+	r := newWarmRig(t, "xk", false, nil)
+	p := r.protect(VMSpec{
+		Name: "vm", MemoryBytes: pages * memory.PageSize, VCPUs: 2,
+		WorkloadSpec: WorkloadSpec{Name: "membench", LoadPercent: 90, Seed: 3},
+	})
+	r.tick()
+	r.tick()
+	// A first pass long enough for the guest to store into it.
+	for n := 0; n < 400; n++ {
+		r.store(p, 9, n)
+	}
+	if _, err := r.m.Failover("vm"); err != nil {
+		t.Fatal(err)
+	}
+	var first, of, later int64
+	detail := r.lastReprotect()
+	seed := detail[strings.LastIndex(detail, "; ")+2:]
+	if n, err := fmt.Sscanf(seed, "warm seed: %d of %d pages, %d more in later rounds", &first, &of, &later); n != 3 {
+		t.Fatalf("re-protected event %q: %v", detail, err)
+	}
+	if sent := r.status("vm").Totals.PagesSent; of != pages || first > of || later == 0 || first+later != sent {
+		t.Fatalf("event %q: want a first pass within the guest's %d pages and, with the later rounds, the %d pages shipped",
+			seed, pages, sent)
+	}
+	if got := r.counter("here_reprotect_seed_pages_total"); got != first {
+		t.Fatalf("here_reprotect_seed_pages_total = %d, want the first pass's %d", got, first)
+	}
+	if got := r.counter("here_reprotect_seed_later_pages_total"); got != later {
+		t.Fatalf("here_reprotect_seed_later_pages_total = %d, want %d", got, later)
+	}
+}
+
 // TestMicrorebootResyncSeesPagesOnlyTheDepositHolds: the in-place
 // recovery resets the guest's dirty log and rebuilds it from a content
 // diff against the surviving deposit. A page the guest gave back (no
@@ -550,55 +589,59 @@ func TestMicrorebootResyncSeesPagesOnlyTheDepositHolds(t *testing.T) {
 
 // BenchmarkReprotect times one forced failover — activation, fence and
 // re-protect — of a fully populated guest on simnet links with a NoSync
-// journal, after stores to one page in 64 since the last acknowledged
-// checkpoint. warm reverses the pair; cold is the same call with the
-// fenced copy removed behind the manager's back, which is the parent
-// commit's path: a full seed. B/op is the claim's other half: a warm
-// re-protect allocates what it ships.
+// journal, after stores to the same 64 pages' worth of guest since the
+// last acknowledged checkpoint whatever its size. warm reverses the pair
+// and must read flat from 1 MiB to 256 MiB, in ns/op and B/op: it finds
+// what to ship in the dirty logs and compares no content. cold is the
+// same call with the fenced copy removed behind the manager's back: a
+// full seed, O(guest).
 func BenchmarkReprotect(b *testing.B) {
-	for _, mib := range []int{1, 64} {
-		for _, kind := range []string{"warm", "cold"} {
-			b.Run(fmt.Sprintf("%s/%dMiB", kind, mib), func(b *testing.B) {
-				store, _, err := journal.Open(b.TempDir(), journal.Options{NoSync: true})
-				if err != nil {
-					b.Fatal(err)
+	const dirty = 64
+	for _, row := range []struct {
+		kind string
+		mib  int
+	}{{"warm", 1}, {"warm", 64}, {"warm", 256}, {"cold", 1}, {"cold", 64}} {
+		kind, mib := row.kind, row.mib
+		b.Run(fmt.Sprintf("%s/%dMiB", kind, mib), func(b *testing.B) {
+			store, _, err := journal.Open(b.TempDir(), journal.Options{NoSync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			r := newWarmRig(b, "xk", false, store)
+			pages := mib << 20 / memory.PageSize
+			p := r.protect(VMSpec{Name: "vm", MemoryBytes: uint64(mib) << 20, VCPUs: 1})
+			for n := 0; n < pages; n++ {
+				r.store(p, 255, n)
+			}
+			r.tick()
+			b.ReportAllocs()
+			var shipped int64
+			for i := 0; b.Loop(); i++ {
+				b.StopTimer()
+				for k := 0; k < dirty; k++ {
+					r.store(p, byte(i%255), (i+k*(pages/dirty))%pages) // never the record already there
 				}
-				defer store.Close()
-				r := newWarmRig(b, "xk", false, store)
-				pages := mib << 20 / memory.PageSize
-				p := r.protect(VMSpec{Name: "vm", MemoryBytes: uint64(mib) << 20, VCPUs: 1})
-				for n := 0; n < pages; n++ {
-					r.store(p, 255, n)
-				}
-				r.tick()
-				b.ReportAllocs()
-				var shipped int64
-				for i := 0; b.Loop(); i++ {
-					b.StopTimer()
-					for n := i % 64; n < pages; n += 64 {
-						r.store(p, byte(i%255), n) // never the record already there
-					}
-					if kind == "cold" {
-						if err := p.primary.(*hypervisor.Host).DestroyVM(p.vm.Name()); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StartTimer()
-					if _, err := r.m.Failover("vm"); err != nil {
+				if kind == "cold" {
+					if err := p.primary.(*hypervisor.Host).DestroyVM(p.vm.Name()); err != nil {
 						b.Fatal(err)
 					}
-					b.StopTimer()
-					shipped += r.status("vm").Totals.PagesSent
-					r.tick()
-					b.StartTimer()
+				}
+				b.StartTimer()
+				if _, err := r.m.Failover("vm"); err != nil {
+					b.Fatal(err)
 				}
 				b.StopTimer()
-				r.converged(p, "after the last re-protect")
-				b.ReportMetric(float64(shipped)/float64(b.N), "pages/op")
-				if want := `here_reprotect_seeds_total{seed="` + kind + `"}`; r.counter(want) != int64(b.N) {
-					b.Fatalf("%s = %d after %d failovers", want, r.counter(want), b.N)
-				}
-			})
-		}
+				shipped += r.status("vm").Totals.PagesSent
+				r.tick()
+				b.StartTimer()
+			}
+			b.StopTimer()
+			r.converged(p, "after the last re-protect")
+			b.ReportMetric(float64(shipped)/float64(b.N), "pages/op")
+			if want := `here_reprotect_seeds_total{seed="` + kind + `"}`; r.counter(want) != int64(b.N) {
+				b.Fatalf("%s = %d after %d failovers", want, r.counter(want), b.N)
+			}
+		})
 	}
 }

@@ -26,11 +26,30 @@ type Secondary struct {
 	Host      hypervisor.Hypervisor
 	Transport Transport
 	// Warm, when set, is a memory of this guest already on Host (the
-	// fenced primary's copy after its replica was activated). It becomes
-	// the leg's replica memory and the seed ships only the pages where it
-	// and the guest differ (migration.Migrate); until then the leg is
-	// unseeded like any other.
+	// fenced primary's copy after its replica was activated, a deposit a
+	// restart found). It becomes the leg's replica memory and the seed
+	// ships only the pages where it and the guest may differ; until then
+	// the leg is unseeded like any other.
 	Warm *memory.GuestMemory
+	// Drift, with Warm in NewChain, is a dirty log naming every page where
+	// Warm differs from the guest, apart from those in the guest's own log
+	// since its tracker started: Seed then reads logs and compares no
+	// content (and may add to Drift). Nil — and always in AddLeg, where the
+	// guest's log has been consumed since — the contents are compared.
+	Drift *memory.DirtyBitmap
+}
+
+// checkWarm refuses a warm copy of another size than the guest's, and a
+// drift with no copy to go with it.
+func checkWarm(sec Secondary, vm *hypervisor.VM) error {
+	if sec.Warm == nil && sec.Drift != nil {
+		return fmt.Errorf("replication: drift without a warm copy on %s", sec.Host.HostName())
+	}
+	if sec.Warm != nil && sec.Warm.SizeBytes() != vm.Memory().SizeBytes() {
+		return fmt.Errorf("replication: warm copy on %s is %d bytes, vm has %d",
+			sec.Host.HostName(), sec.Warm.SizeBytes(), vm.Memory().SizeBytes())
+	}
+	return nil
 }
 
 // ErrLegGone is returned by per-leg accessors for an index that is out
@@ -54,6 +73,8 @@ type leg struct {
 	// changes only by decoding an acknowledged stream (or a seed copy).
 	mem       *memory.GuestMemory
 	lastImage []byte
+	// drift is Secondary.Drift until the seed has used it.
+	drift *memory.DirtyBitmap
 	// pending is the dirty-page backlog this leg has not acknowledged
 	// yet. Every checkpoint merges the global dirty snapshot into every
 	// live leg's pending; an acknowledging leg clears it, a missing leg
@@ -322,9 +343,10 @@ func (r *Replicator) HandoffAt(i int) (*ResumeState, error) {
 }
 
 // AddLeg appends a new secondary to a running chain. The leg is seeded
-// with a full copy inside the next checkpoint pause — the only moment
-// the guest state is consistent — and participates from then on. The
-// restriction on real network transports is the same as NewChain's.
+// with a full copy — a warm one with the pages that differ — inside the
+// next checkpoint pause, the only moment the guest state is consistent,
+// and participates from then on. The restriction on real network
+// transports is the same as NewChain's.
 func (r *Replicator) AddLeg(sec Secondary) error {
 	if sec.Host == nil || sec.Transport == nil {
 		return errors.New("replication: nil host or transport")
@@ -340,6 +362,9 @@ func (r *Replicator) AddLeg(sec Secondary) error {
 	}
 	if _, isSender := sec.Transport.(CheckpointSender); isSender || (len(r.legs) > 0 && r.legs[0].sender != nil) {
 		return errors.New("replication: multi-leg chains require simulated transports")
+	}
+	if err := checkWarm(sec, r.primary); err != nil {
+		return err
 	}
 	l := newLeg(sec, r.primary.Memory().SizeBytes(), r.cfg.Compression)
 	l.enc.Instrument(r.reg)

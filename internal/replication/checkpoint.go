@@ -179,7 +179,7 @@ func (r *Replicator) runLeg(c *ckpt, i int, l *leg) error {
 		// A leg added mid-run seeds here, inside the pause — the only
 		// moment the guest state is consistent. A failed seed waits for
 		// the next checkpoint; seeding legs are outside the ack quorum.
-		if err := r.seedLeg(l, c.state); err != nil {
+		if err := r.seedLeg(l, c.state, nil); err != nil {
 			c.noteMiss(err)
 			return nil
 		}

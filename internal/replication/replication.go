@@ -568,9 +568,8 @@ func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicat
 		if _, isSender := sec.Transport.(CheckpointSender); isSender && len(secondaries) > 1 {
 			return nil, errors.New("replication: multi-leg chains require simulated transports (CheckpointSender fan-out unsupported)")
 		}
-		if sec.Warm != nil && sec.Warm.SizeBytes() != vm.Memory().SizeBytes() {
-			return nil, fmt.Errorf("replication: chain leg %d: warm copy is %d bytes, vm has %d",
-				i, sec.Warm.SizeBytes(), vm.Memory().SizeBytes())
+		if err := checkWarm(sec, vm); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.Resume != nil && len(secondaries) > 1 {
@@ -598,6 +597,7 @@ func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicat
 	for _, sec := range secondaries {
 		l := newLeg(sec, vm.Memory().SizeBytes(), cfg.Compression)
 		l.enc.Instrument(reg)
+		l.drift = sec.Drift
 		legs = append(legs, l)
 	}
 	cfg.Tracer.Instrument(reg)
@@ -773,7 +773,8 @@ func (r *Replicator) Period() time.Duration {
 // memory to leg 0 (Fig 3 "Migration"), full-copies the snapshot onto
 // every further leg while the VM is still paused, and resumes the VM
 // into the continuous replication phase. A leg built on a warm copy
-// (Secondary.Warm) is sent only the pages where it and the guest differ.
+// (Secondary.Warm) is sent only the pages where it and the guest may
+// differ (stale).
 func (r *Replicator) Seed() (migration.Result, error) {
 	mode := migration.ModeXen
 	if r.cfg.Engine == EngineHERE {
@@ -789,6 +790,12 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	// Seed through the leg's own codec: every round diffs against what
 	// the earlier rounds left in the leg's replica memory.
 	mcfg.Codec = first.enc
+	mcfg.Drift = r.stale(first, nil)
+	for _, l := range legs[1:] {
+		if l.drift != nil && mcfg.Logged == nil { // good with what the guest logs up to the pause
+			mcfg.Logged = memory.NewDirtyBitmap(first.mem.NumPages())
+		}
+	}
 	if mcfg.Tracer == nil {
 		mcfg.Tracer = r.tr
 	}
@@ -817,7 +824,7 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	// the VM resumes, so the chain starts at full width from one state.
 	// A failed extra seed fails the whole Seed.
 	for _, l := range legs[1:] {
-		if err := r.seedLeg(l, res.FinalState); err != nil {
+		if err := r.seedLeg(l, res.FinalState, mcfg.Logged); err != nil {
 			return res, err
 		}
 	}
@@ -827,20 +834,45 @@ func (r *Replicator) Seed() (migration.Result, error) {
 	return res, nil
 }
 
+// stale returns, as a dirty log, the pages where l's warm copy may differ
+// from the guest; nil for a leg with no copy to build on. With a known
+// drift that is the drift plus what the guest logged since its tracker
+// started — logged, or for leg 0 still in the tracker, where Migrate
+// finds it — and no content is read. With no log to vouch for the copy
+// (a deposit found after a restart: the backlog sets died with the
+// daemon) the contents are compared.
+func (r *Replicator) stale(l *leg, logged *memory.DirtyBitmap) *memory.DirtyBitmap {
+	bm, owed := l.drift, []memory.PageNum(nil)
+	l.drift = nil
+	switch {
+	case bm != nil && logged != nil:
+		owed = logged.Peek()
+	case bm == nil && l.mem.PopulatedPages() == 0:
+		return nil
+	case bm == nil:
+		bm = memory.NewDirtyBitmap(l.mem.NumPages())
+		owed = memory.Diff(l.mem, r.primary.Memory())
+	}
+	for _, p := range owed {
+		bm.Set(p)
+	}
+	return bm
+}
+
 // seedLeg ships a snapshot of the paused primary onto one leg: account
 // the transfer, copy the pages into the leg's replica memory, and store
 // the translated machine-state image. An empty replica memory takes
-// every populated page, a warm copy the pages where it and the guest
-// differ. The primary must be paused.
-func (r *Replicator) seedLeg(l *leg, state arch.MachineState) error {
+// every populated page, a warm copy the stale ones (logged: the dirty
+// log Seed's migration consumed). The primary must be paused.
+func (r *Replicator) seedLeg(l *leg, state arch.MachineState, logged *memory.DirtyBitmap) error {
 	image, err := r.translateState(state, l.dst)
 	if err != nil {
 		return err
 	}
 	mem := r.primary.Memory()
 	var pages []memory.PageNum
-	if l.mem.PopulatedPages() > 0 {
-		pages = memory.Diff(l.mem, mem)
+	if bm := r.stale(l, logged); bm != nil {
+		pages = bm.Peek()
 	} else {
 		pages = mem.PopulatedList()
 	}

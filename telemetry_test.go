@@ -311,7 +311,8 @@ func TestTelemetryReprotectSeeds(t *testing.T) {
 	expect("before any re-protect",
 		`here_reprotect_seeds_total{seed="warm"} 0`,
 		`here_reprotect_seeds_total{seed="cold"} 0`,
-		"here_reprotect_seed_pages_total 0")
+		"here_reprotect_seed_pages_total 0",
+		"here_reprotect_seed_later_pages_total 0")
 
 	p, err := m.Protect(orchestrator.VMSpec{Name: "vm", MemoryBytes: pages * memory.PageSize, VCPUs: 1})
 	if err != nil {
@@ -348,5 +349,6 @@ func TestTelemetryReprotectSeeds(t *testing.T) {
 	expect("after the cold re-protect",
 		`here_reprotect_seeds_total{seed="warm"} 1`,
 		`here_reprotect_seeds_total{seed="cold"} 1`,
-		fmt.Sprintf("here_reprotect_seed_pages_total %d", 2+pages))
+		fmt.Sprintf("here_reprotect_seed_pages_total %d", 2+pages),
+		"here_reprotect_seed_later_pages_total 0") // an idle guest: no seed had a later round
 }
