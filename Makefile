@@ -52,7 +52,7 @@ bench-transport-smoke:
 	$(GO) test -run '^$$' -bench SendCheckpoint -benchmem -benchtime=1x ./internal/transport
 
 # Per-layer benchmarks of what a protection costs off the tick path:
-# the tracer (New, and Record cold / warm / wrapping), a whole-fleet
+# the tracer (New, and Record cold / warm / fill / wrapping), a whole-fleet
 # Scheduler.Recover() of 192 protections in 4 groups, and the restart of
 # four 1 + 2 chains of 8 MiB guests through Recover() and the tick that
 # tops them up, from the deposits their hosts still hold (warm) or from

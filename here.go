@@ -339,6 +339,8 @@ type ProtectOptions struct {
 	NoTrace bool
 	// TraceCapacity bounds the trace ring buffer (default 16384
 	// events; older events are overwritten and counted as dropped).
+	// The ring holds at most TraceCapacity × 64 B, 1 MiB at the
+	// default, and grows in 147-event (9.25 KiB) chunks as it records.
 	TraceCapacity int
 }
 

@@ -76,6 +76,26 @@ func TestGuestMemoryZeroPageDropsBacking(t *testing.T) {
 	}
 }
 
+// One non-zero byte anywhere in a page, the last one included, keeps
+// the page backed and readable.
+func TestGuestMemoryOneNonZeroByteKeepsBacking(t *testing.T) {
+	for _, at := range []int{0, 7, 8, 2047, PageSize - 9, PageSize - 1} {
+		m := NewGuestMemory(PageSize)
+		src := make([]byte, PageSize)
+		src[at] = 0x80
+		if err := m.WritePage(0, src); err != nil {
+			t.Fatal(err)
+		}
+		if m.PopulatedPages() != 1 {
+			t.Fatalf("byte %d set: page dropped as all-zero", at)
+		}
+		got := make([]byte, PageSize)
+		if err := m.ReadPage(0, got); err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("byte %d set: read back differs (err %v)", at, err)
+		}
+	}
+}
+
 func TestGuestMemoryBounds(t *testing.T) {
 	m := NewGuestMemory(2 * PageSize)
 	buf := make([]byte, PageSize)

@@ -129,7 +129,8 @@ type Config struct {
 	// NoTrace disables the per-protection epoch tracer.
 	NoTrace bool
 	// TraceCapacity bounds each protection's trace ring (default
-	// 16384 events).
+	// 16384 events): at most TraceCapacity × 64 B, 1 MiB at the
+	// default, grown in 147-event (9.25 KiB) chunks as it records.
 	TraceCapacity int
 	// Journal, when set, makes the control plane crash-recoverable:
 	// every mutating operation appends a write-ahead record before

@@ -25,10 +25,11 @@ func BenchmarkTracerNew(b *testing.B) {
 }
 
 // BenchmarkTracerRecord prices Record in the ring's three states: cold
-// (a new tracer's first event, which makes the first buffer), warm (a
-// grown buffer with room: the steady state until a protection has
-// recorded its capacity) and wrapping (at capacity, every Record
-// overwrites the oldest event).
+// (a new tracer's first event, which makes the first chunk), warm (a
+// ring with room: the steady state until a protection has recorded its
+// capacity) and wrapping (at capacity, every Record overwrites the
+// oldest event); fill is a new tracer's whole life up to its capacity,
+// whose B/op is the ring's size, ≈ capacity × 64 B.
 func BenchmarkTracerRecord(b *testing.B) {
 	clk := vclock.NewSim()
 	b.Run("cold", func(b *testing.B) {
@@ -45,10 +46,19 @@ func BenchmarkTracerRecord(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for b.Loop() {
-			if len(tr.buf) == DefaultCapacity {
-				tr.buf = tr.buf[:0] // keep the buffer, make room again
+			if tr.seq == DefaultCapacity {
+				tr.seq, tr.c, tr.off = 0, 0, 0 // keep the chunks, make room again
 			}
 			tr.Record(benchEvent)
+		}
+	})
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			benchTracer = New(clk, DefaultCapacity)
+			for i := 0; i < DefaultCapacity; i++ {
+				benchTracer.Record(benchEvent)
+			}
 		}
 	})
 	b.Run("wrapping", func(b *testing.B) {

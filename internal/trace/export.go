@@ -25,21 +25,16 @@ type JSONEvent struct {
 	Note    string `json:"note,omitempty"`
 }
 
-// kindNames maps exported kind strings back to Kinds, for consumers
-// (herectl timeline) that rebuild Events from a JSONL trace.
-var kindNames = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := SpanPause; k <= EventTransport; k++ {
-		m[k.String()] = k
-	}
-	return m
-}()
-
 // KindFromString resolves an exported kind name ("pause", "remote-apply",
-// …) back to its Kind; ok is false for unknown names.
+// …) back to its Kind, for consumers (herectl timeline) that rebuild
+// Events from a JSONL trace; ok is false for unknown names.
 func KindFromString(name string) (Kind, bool) {
-	k, ok := kindNames[name]
-	return k, ok
+	for k := SpanPause; k < kindEnd; k++ {
+		if kindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // WriteJSONL writes the tracer's events as one JSON object per line,

@@ -8,25 +8,6 @@ import (
 	"github.com/here-ft/here/internal/vclock"
 )
 
-func TestRemoteKindsRoundTrip(t *testing.T) {
-	for k := trace.SpanPause; k <= trace.EventTransport; k++ {
-		got, ok := trace.KindFromString(k.String())
-		if !ok || got != k {
-			t.Fatalf("KindFromString(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := trace.KindFromString("no-such-kind"); ok {
-		t.Fatal("unknown kind resolved")
-	}
-	for _, k := range []trace.Kind{
-		trace.SpanRemoteRecv, trace.SpanRemoteDecode, trace.SpanRemoteApply, trace.SpanRemoteAck,
-	} {
-		if !k.IsSpan() {
-			t.Fatalf("%v not classified as a span", k)
-		}
-	}
-}
-
 func TestWireTransit(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 

@@ -13,13 +13,13 @@
 //     rollbacks, protection-mode transitions, fault injections,
 //     heartbeat misses.
 //
-// Storage is a bounded ring buffer that holds what was recorded: New
-// allocates nothing proportional to the capacity, the first Record
-// makes a 64-slot buffer and a full buffer doubles until it reaches the
-// capacity, so a tracer allocates at most ⌈log₂(capacity/64)⌉ + 1 times
-// in its life and Record never blocks. Once the ring is at capacity
-// the oldest event is overwritten and counted in Dropped(). A nil
-// *Tracer is valid and disables tracing — call sites need no guards.
+// Storage is a bounded ring of 64-byte slots, grown a fixed chunk at a
+// time up to the capacity, so a tracer holds what it recorded and at
+// most capacity × 64 B, and no Record copies the ring. At capacity
+// the oldest event is overwritten and counted in Dropped(). An event
+// that does not pack (a 257th distinct Engine/Outcome label, Pages or
+// Shard outside uint32, a Start ±292 years away) is kept whole beside
+// the ring. A nil *Tracer is valid and disables tracing.
 //
 // The paper's evaluation attributes each epoch's cost to its stages
 // (pause t = αN/P + C, scan, encode, transfer, ack — §6, Fig 3) and
@@ -29,8 +29,10 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/here-ft/here/internal/vclock"
 )
@@ -99,54 +101,31 @@ const (
 	// microrebooted, escalated (Outcome carries the step, Note the
 	// detail).
 	EventRecovery
+
+	// kindEnd is one past the last kind: every loop over the kinds
+	// stops here.
+	kindEnd
 )
+
+// kindNames are the kinds' names as they appear in exported traces.
+var kindNames = [kindEnd]string{
+	SpanPause: "pause", SpanScan: "scan", SpanEncode: "encode",
+	SpanTransfer: "transfer", SpanAck: "ack", SpanRelease: "release",
+	SpanSeedRound: "seed-round", SpanFailover: "failover",
+	SpanRemoteRecv: "remote-recv", SpanRemoteDecode: "remote-decode",
+	SpanRemoteApply: "remote-apply", SpanRemoteAck: "remote-ack",
+	SpanMicroreboot: "microreboot", EventRetry: "retry",
+	EventRollback: "rollback", EventModeChange: "mode-change",
+	EventFault: "fault", EventHeartbeatMiss: "heartbeat-miss",
+	EventTransport: "transport", EventRecovery: "recovery",
+}
 
 // String names the kind as it appears in exported traces.
 func (k Kind) String() string {
-	switch k {
-	case SpanPause:
-		return "pause"
-	case SpanScan:
-		return "scan"
-	case SpanEncode:
-		return "encode"
-	case SpanTransfer:
-		return "transfer"
-	case SpanAck:
-		return "ack"
-	case SpanRelease:
-		return "release"
-	case SpanSeedRound:
-		return "seed-round"
-	case SpanFailover:
-		return "failover"
-	case SpanRemoteRecv:
-		return "remote-recv"
-	case SpanRemoteDecode:
-		return "remote-decode"
-	case SpanRemoteApply:
-		return "remote-apply"
-	case SpanRemoteAck:
-		return "remote-ack"
-	case SpanMicroreboot:
-		return "microreboot"
-	case EventRetry:
-		return "retry"
-	case EventRollback:
-		return "rollback"
-	case EventModeChange:
-		return "mode-change"
-	case EventFault:
-		return "fault"
-	case EventHeartbeatMiss:
-		return "heartbeat-miss"
-	case EventTransport:
-		return "transport"
-	case EventRecovery:
-		return "recovery"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= SpanPause && k < kindEnd {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // IsSpan reports whether the kind carries a duration.
@@ -191,24 +170,45 @@ type Event struct {
 // DefaultCapacity is the ring size used when New is given 0.
 const DefaultCapacity = 16384
 
-// initialSlots is the buffer the first Record allocates; it doubles
-// from there up to the tracer's capacity.
-const initialSlots = 64
+// chunkSlots is a chunk's length: 147 slots and the allocator's 8-byte
+// header fill the 9472-byte size class, six to a span. The 8 and 16 KiB
+// classes hold one a span, which makes every chunk a trip to the heap.
+const chunkSlots = 147
+
+// slot is an Event packed into 64 bytes: Seq follows from the ring
+// position, start is the offset from the tracer's start (zeroStart for
+// the zero time), engine and outcome index the tracer's labels. A whole
+// slot's event did not pack and is in Tracer.whole under its Seq.
+type slot struct {
+	epoch, start, bytes int64
+	dur                 time.Duration
+	note                string
+	pages, shard        uint32
+	kind                Kind
+	engine, outcome     uint8
+	whole               bool
+}
+
+const zeroStart = math.MinInt64
+
+// noLabels is a new tracer's label table: "" is label 0.
+var noLabels = []string{""}
 
 // Tracer records spans and events into a bounded ring buffer. It is
 // safe for concurrent use; a nil *Tracer discards everything.
 type Tracer struct {
 	clock    vclock.Clock
 	start    time.Time
-	capacity int // the ring's bound and, once reached, its modulus
+	capacity int
 
 	mu sync.Mutex
-	// buf holds the events in record order from index 0 until it has
-	// grown to capacity; only then does head move and the ring wrap.
-	buf     []Event
-	head    int // index of the oldest event
-	seq     uint64
-	dropped uint64
+	// chunks hold positions [0, capacity), each made when the first
+	// event reaches it; the last is short if capacity is not a multiple.
+	chunks [][]slot
+	c, off int              // the next event goes to chunks[c][off]
+	labels []string         // at most 256, appended to a copy of noLabels
+	whole  map[uint64]Event // events in whole slots, by Seq
+	seq    uint64           // events recorded; the ring holds the last held()
 
 	// optional self-observation counters (Instrument)
 	events *Counter
@@ -228,6 +228,7 @@ func New(clock vclock.Clock, capacity int) *Tracer {
 		clock:    clock,
 		start:    clock.Now(),
 		capacity: capacity,
+		labels:   noLabels[:1:1],
 	}
 }
 
@@ -276,19 +277,40 @@ func (t *Tracer) Record(ev Event) {
 	t.mu.Lock()
 	ev.Seq = t.seq
 	t.seq++
-	full := len(t.buf) == t.capacity
-	if full {
-		t.buf[t.head] = ev
-		t.head++
-		if t.head == t.capacity {
-			t.head = 0
-		}
-		t.dropped++
+	if t.c == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]slot, min(chunkSlots, t.capacity-t.c*chunkSlots)))
+	}
+	chunk := t.chunks[t.c]
+	s := &chunk[t.off]
+	full := ev.Seq >= uint64(t.capacity)
+	if full && len(t.whole) > 0 && s.whole {
+		delete(t.whole, ev.Seq-uint64(t.capacity))
+	}
+	off, ok := time.Duration(zeroStart), true
+	if !ev.Start.IsZero() {
+		off = ev.Start.Sub(t.start) // saturates ±292 years away
+		ok = off != math.MinInt64 && off != math.MaxInt64
+	}
+	engine, ok1 := t.label(ev.Engine)
+	outcome, ok2 := t.label(ev.Outcome)
+	if ok && ok1 && ok2 && uint64(ev.Pages) <= math.MaxUint32 && uint64(ev.Shard) <= math.MaxUint32 {
+		// Field by field: a composite literal is built on the stack and
+		// copied, which stalls on its own byte-sized stores.
+		s.epoch, s.start, s.bytes, s.dur, s.note = ev.Epoch, int64(off), ev.Bytes, ev.Dur, ev.Note
+		s.pages, s.shard = uint32(ev.Pages), uint32(ev.Shard)
+		s.kind, s.engine, s.outcome, s.whole = ev.Kind, engine, outcome, false
 	} else {
-		if len(t.buf) == cap(t.buf) {
-			t.grow()
+		*s = slot{whole: true}
+		if t.whole == nil {
+			t.whole = make(map[uint64]Event)
 		}
-		t.buf = append(t.buf, ev)
+		t.whole[ev.Seq] = ev
+	}
+	if t.off++; t.off == len(chunk) {
+		t.off = 0
+		if t.c++; t.c*chunkSlots >= t.capacity {
+			t.c = 0
+		}
 	}
 	events, drops := t.events, t.drops
 	t.mu.Unlock()
@@ -300,21 +322,27 @@ func (t *Tracer) Record(ev Event) {
 	}
 }
 
-// grow doubles a full buffer, clamped to the capacity. The ring has
-// not wrapped yet (head is 0), so the copy keeps record order. Caller
-// holds t.mu.
-func (t *Tracer) grow() {
-	slots := 2 * cap(t.buf)
-	if slots < initialSlots {
-		slots = initialSlots
+// label returns name's index in t.labels, adding it if there is room.
+// Callers pass constants, so where the bytes live is compared before
+// what they say. Caller holds t.mu.
+func (t *Tracer) label(name string) (uint8, bool) {
+	if name == "" {
+		return 0, true
 	}
-	if slots > t.capacity {
-		slots = t.capacity
+	for i, l := range t.labels {
+		if len(l) == len(name) && (unsafe.StringData(l) == unsafe.StringData(name) || l == name) {
+			return uint8(i), true
+		}
 	}
-	buf := make([]Event, len(t.buf), slots)
-	copy(buf, t.buf)
-	t.buf = buf
+	if len(t.labels) > math.MaxUint8 {
+		return 0, false
+	}
+	t.labels = append(t.labels, name)
+	return uint8(len(t.labels) - 1), true
 }
+
+// held is the number of events in the ring. Caller holds t.mu.
+func (t *Tracer) held() int { return int(min(t.seq, uint64(t.capacity))) }
 
 // Span records a completed span of the given kind, measuring its
 // duration from start to now on the tracer's clock and returning that
@@ -352,7 +380,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.held()
 }
 
 // Dropped reports how many events were overwritten by ring overflow.
@@ -362,7 +390,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.seq - uint64(t.held())
 }
 
 // Events returns a copy of the held events, oldest first.
@@ -372,9 +400,33 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.head:]...)
-	return append(out, t.buf[:t.head]...)
+	out := make([]Event, t.held())
+	c, off, seq := 0, 0, t.seq-uint64(len(out))
+	if len(out) == t.capacity {
+		c, off = t.c, t.off // the oldest event is the next one overwritten
+	}
+	for i := range out {
+		s := &t.chunks[c][off]
+		if off++; off == len(t.chunks[c]) {
+			off = 0
+			if c++; c == len(t.chunks) {
+				c = 0
+			}
+		}
+		if s.whole {
+			out[i] = t.whole[seq+uint64(i)]
+			continue
+		}
+		out[i] = Event{
+			Seq: seq + uint64(i), Epoch: s.epoch, Kind: s.kind, Dur: s.dur,
+			Engine: t.labels[s.engine], Shard: int(s.shard), Pages: int(s.pages),
+			Bytes: s.bytes, Outcome: t.labels[s.outcome], Note: s.note,
+		}
+		if s.start != zeroStart {
+			out[i].Start = t.start.Add(time.Duration(s.start))
+		}
+	}
+	return out
 }
 
 // EpochStages is the per-epoch stage attribution reassembled from a

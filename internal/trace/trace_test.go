@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -170,12 +171,58 @@ func TestEpochBreakdown(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := SpanPause; k <= EventHeartbeatMiss; k++ {
+	for k := SpanPause; k < kindEnd; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("kind %d unnamed", k)
 		}
 	}
-	if !strings.HasPrefix(Kind(99).String(), "kind(") {
-		t.Fatal("unknown kind named")
+	for _, k := range []Kind{0, kindEnd, 99} {
+		if !strings.HasPrefix(k.String(), "kind(") {
+			t.Fatalf("kind %d named %q", k, k.String())
+		}
+	}
+}
+
+// TestEveryNamedKindRoundTrips: every Kind that String names, not just
+// those below some bound, resolves back from its name — a JSONL trace
+// loses no kind (herectl timeline skips the names it cannot resolve).
+func TestEveryNamedKindRoundTrips(t *testing.T) {
+	named := 0
+	for k := Kind(0); k < math.MaxUint8; k++ {
+		name := k.String()
+		got, ok := KindFromString(name)
+		if strings.HasPrefix(name, "kind(") {
+			if ok {
+				t.Fatalf("unnamed %q resolved to %v", name, got)
+			}
+			continue
+		}
+		named++
+		if !ok || got != k {
+			t.Fatalf("KindFromString(%q) = %v, %v; want %v", name, got, ok, k)
+		}
+	}
+	if named != int(kindEnd-SpanPause) {
+		t.Fatalf("%d kinds named, want %d", named, kindEnd-SpanPause)
+	}
+	if k, ok := KindFromString("recovery"); !ok || k != EventRecovery {
+		t.Fatalf(`KindFromString("recovery") = %v, %v`, k, ok)
+	}
+}
+
+func TestRemoteKindsRoundTrip(t *testing.T) {
+	for k := SpanPause; k < kindEnd; k++ {
+		got, ok := KindFromString(k.String())
+		if !ok || got != k {
+			t.Fatalf("KindFromString(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	if _, ok := KindFromString("no-such-kind"); ok {
+		t.Fatal("unknown kind resolved")
+	}
+	for _, k := range []Kind{SpanRemoteRecv, SpanRemoteDecode, SpanRemoteApply, SpanRemoteAck} {
+		if !k.IsSpan() {
+			t.Fatalf("%v not classified as a span", k)
+		}
 	}
 }
