@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/here-ft/here/internal/arch"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/vclock"
 )
@@ -197,45 +196,6 @@ func (m *Manager) FailoverReplug(vm *hypervisor.VM, dst hypervisor.Hypervisor) e
 		clock.Sleep(costs.DevicePlug)
 	}
 	return nil
-}
-
-// SwitchDeviceModels rewires the paused replica VM's devices from
-// whatever models its state carries to the destination hypervisor's
-// native models, accounting per-device plug costs and notifying the
-// guest agent. It returns the new device list.
-//
-// Passthrough devices cannot be backtracked and are rejected —
-// replication only handles PV-style devices (paper §7.3).
-func (m *Manager) SwitchDeviceModels(vm *hypervisor.VM, dst hypervisor.Hypervisor) ([]arch.DeviceState, error) {
-	if vm.Running() {
-		return nil, fmt.Errorf("device switch: vm %q is running", vm.Name())
-	}
-	st := vm.MachineState()
-	costs := dst.Costs()
-	clock := dst.Clock()
-	out := make([]arch.DeviceState, len(st.Devices))
-	for i, d := range st.Devices {
-		if d.InFlight != 0 {
-			return nil, fmt.Errorf("device switch: device %q has %d in-flight requests", d.ID, d.InFlight)
-		}
-		model, err := dst.DeviceModel(d.Class)
-		if err != nil {
-			return nil, fmt.Errorf("device switch: device %q: %w", d.ID, err)
-		}
-		if d.Model != model {
-			m.agent.DeviceGone(d.ID, d.Model)
-			clock.Sleep(costs.DevicePlug) // unplug old model
-			m.agent.DeviceArrived(d.ID, model)
-			clock.Sleep(costs.DevicePlug) // plug new model
-		}
-		nd := d
-		nd.Model = model
-		out[i] = nd
-	}
-	if err := vm.SetDevices(out); err != nil {
-		return nil, fmt.Errorf("device switch: %w", err)
-	}
-	return out, nil
 }
 
 // GuestKernel simulates the paper's in-guest kernel module (§7.6,

@@ -9,8 +9,6 @@ import (
 	"github.com/here-ft/here/internal/devices"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/kvm"
-	"github.com/here-ft/here/internal/memory"
-	"github.com/here-ft/here/internal/translate"
 	"github.com/here-ft/here/internal/vclock"
 	"github.com/here-ft/here/internal/xen"
 )
@@ -156,118 +154,7 @@ func TestIOBufferConservationProperty(t *testing.T) {
 	}
 }
 
-type recordingAgent struct {
-	gone    []string
-	arrived []string
-}
-
-func (a *recordingAgent) DeviceGone(id, model string)    { a.gone = append(a.gone, id+":"+model) }
-func (a *recordingAgent) DeviceArrived(id, model string) { a.arrived = append(a.arrived, id+":"+model) }
-
-func TestSwitchDeviceModels(t *testing.T) {
-	clk := vclock.NewSim()
-	xh, err := xen.New("a", clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kh, err := kvm.New("b", clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hypervisor.VMConfig{
-		Name: "vm", MemBytes: 1 << 20, VCPUs: 1,
-		Devices: []hypervisor.DeviceSpec{
-			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:01"},
-			{Class: arch.DeviceBlock, ID: "disk0", CapacityB: 1 << 30},
-		},
-	}
-	vm, err := xh.CreateVM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm.Pause()
-	st, err := vm.CaptureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Features = translate.CompatibleFeatures(xh, kh)
-	translated, err := translate.Translate(st, xh, kh, translate.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := kh.RestoreVM(cfg, translated, memory.NewGuestMemory(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	agent := &recordingAgent{}
-	mgr := devices.NewManager(agent)
-	// The translated state already carries virtio models, so switching
-	// is a no-op (models already native) — no guest events.
-	devs, err := mgr.SwitchDeviceModels(replica, kh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agent.gone) != 0 {
-		t.Fatalf("no-op switch emitted events: %v", agent.gone)
-	}
-	for _, d := range devs {
-		if d.Model != "virtio-net" && d.Model != "virtio-blk" {
-			t.Fatalf("non-virtio model %q", d.Model)
-		}
-	}
-}
-
-func TestSwitchDeviceModelsReplacesForeignModels(t *testing.T) {
-	clk := vclock.NewSim()
-	xh, err := xen.New("a", clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := xh.CreateVM(hypervisor.VMConfig{
-		Name: "vm", MemBytes: 1 << 20, VCPUs: 1,
-		Devices: []hypervisor.DeviceSpec{{Class: arch.DeviceNet, ID: "net0"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm.Pause()
-
-	agent := &recordingAgent{}
-	mgr := devices.NewManager(agent)
-	// Pretend this Xen VM must be rewired to... Xen is a no-op; so
-	// instead simulate a replica carrying stale xen models on a KVM
-	// host by using the hypervisor mismatch path: ask the manager to
-	// rewire the Xen VM's PV devices to KVM models.
-	kh, err := kvm.New("b", clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := clk.Elapsed()
-	devs, err := mgr.SwitchDeviceModels(vm, kh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if devs[0].Model != "virtio-net" {
-		t.Fatalf("model = %q", devs[0].Model)
-	}
-	if len(agent.gone) != 1 || agent.gone[0] != "net0:xen-netfront" {
-		t.Fatalf("gone events = %v", agent.gone)
-	}
-	if len(agent.arrived) != 1 || agent.arrived[0] != "net0:virtio-net" {
-		t.Fatalf("arrived events = %v", agent.arrived)
-	}
-	// Two DevicePlug costs were accounted (unplug + plug).
-	if got := clk.Elapsed() - before; got != 2*kh.Costs().DevicePlug {
-		t.Fatalf("accounted %v, want %v", got, 2*kh.Costs().DevicePlug)
-	}
-	// The VM's state now carries the new models.
-	if vm.MachineState().Devices[0].Model != "virtio-net" {
-		t.Fatal("VM state not updated")
-	}
-}
-
-func TestSwitchDeviceModelsRejectsRunningVM(t *testing.T) {
+func TestFailoverReplugRejectsRunningVM(t *testing.T) {
 	clk := vclock.NewSim()
 	xh, err := xen.New("a", clk)
 	if err != nil {
@@ -278,8 +165,8 @@ func TestSwitchDeviceModelsRejectsRunningVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := devices.NewManager(nil)
-	if _, err := mgr.SwitchDeviceModels(vm, xh); err == nil {
-		t.Fatal("switch on running VM succeeded")
+	if err := mgr.FailoverReplug(vm, xh); err == nil {
+		t.Fatal("replug on running VM succeeded")
 	}
 }
 

@@ -226,7 +226,7 @@ func Fig7(scale Scale) ([]Fig7Row, error) {
 			return 0, err
 		}
 		pair.Primary.Fail(hypervisor.Crashed, "fig7 injected failure")
-		fr, err := failover.Activate(rep, "fig7-replica", nil)
+		fr, err := failover.ActivateOpts(rep, "fig7-replica", failover.Options{})
 		if err != nil {
 			return 0, err
 		}

@@ -331,15 +331,10 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// Activate builds and resumes the replica VM from the replicator's
+// ActivateOpts builds and resumes the replica VM from the replicator's
 // last acknowledged checkpoint: decode the translated state image,
 // restore it with the replicated memory, perform the guest-visible
-// device replug, and resume (paper §7.3, §8.4).
-func Activate(r *replication.Replicator, replicaName string, agent devices.GuestAgent) (Result, error) {
-	return ActivateOpts(r, replicaName, Options{Agent: agent})
-}
-
-// ActivateOpts is Activate with the full policy: it refuses double
+// device replug, and resume (paper §7.3, §8.4). It refuses double
 // activation (ErrAlreadyActivated), refuses split-brain activation
 // while opts.Monitor still sees the primary healthy unless opts.Force
 // (ErrSplitBrain), and marks the replicator failed-over on success so

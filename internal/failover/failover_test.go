@@ -127,7 +127,7 @@ func TestActivateRestoresExactGuestContent(t *testing.T) {
 
 	// The primary dies; activate the replica on kvmtool.
 	r.xh.Fail(hypervisor.Crashed, "CVE-2020-XXXX DoS")
-	res, err := failover.Activate(r.rep, "protected-replica", nil)
+	res, err := failover.ActivateOpts(r.rep, "protected-replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestResumeTimeMillisecondsAndSizeIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.xh.Fail(hypervisor.Crashed, "injected")
-		res, err := failover.Activate(r.rep, "replica", nil)
+		res, err := failover.ActivateOpts(r.rep, "replica", failover.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestActivateDropsUnackedOutput(t *testing.T) {
 	// Output produced after the last acked checkpoint must vanish.
 	r.rep.IOBuffer().Buffer(100, []byte("uncommitted response"))
 	r.xh.Fail(hypervisor.Crashed, "injected")
-	res, err := failover.Activate(r.rep, "replica", nil)
+	res, err := failover.ActivateOpts(r.rep, "replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +215,17 @@ func TestActivateRequiresHealthySecondary(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.kh.Fail(hypervisor.Crashed, "double exploit")
-	if _, err := failover.Activate(r.rep, "replica", nil); err == nil {
+	if _, err := failover.ActivateOpts(r.rep, "replica", failover.Options{}); err == nil {
 		t.Fatal("activation on crashed secondary succeeded")
 	}
 }
 
 func TestActivateBeforeSeedFails(t *testing.T) {
 	r := newRig(t, 512*memory.PageSize)
-	if _, err := failover.Activate(r.rep, "replica", nil); err == nil {
+	if _, err := failover.ActivateOpts(r.rep, "replica", failover.Options{}); err == nil {
 		t.Fatal("activation before seeding succeeded")
 	}
-	if _, err := failover.Activate(nil, "replica", nil); err == nil {
+	if _, err := failover.ActivateOpts(nil, "replica", failover.Options{}); err == nil {
 		t.Fatal("nil replicator accepted")
 	}
 }
@@ -253,7 +253,7 @@ func TestEndToEndWorkloadSurvivesFailover(t *testing.T) {
 	if _, err := m.WaitForFailure(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	res, err := failover.Activate(r.rep, "replica", nil)
+	res, err := failover.ActivateOpts(r.rep, "replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestFailbackRoundTrip(t *testing.T) {
 
 	// First failover: Xen dies, replica activates on KVM.
 	r.xh.Fail(hypervisor.Crashed, "xen zero-day")
-	res1, err := failover.Activate(r.rep, "on-kvm", nil)
+	res1, err := failover.ActivateOpts(r.rep, "on-kvm", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestFailbackRoundTrip(t *testing.T) {
 
 	// Second failover: KVM dies, service returns to Xen.
 	r.kh.Fail(hypervisor.Hung, "kvm zero-day")
-	res2, err := failover.Activate(rep2, "back-on-xen", nil)
+	res2, err := failover.ActivateOpts(rep2, "back-on-xen", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestDiskCrashConsistencyAcrossFailover(t *testing.T) {
 	}
 
 	r.xh.Fail(hypervisor.Crashed, "injected")
-	res, err := failover.Activate(r.rep, "replica", nil)
+	res, err := failover.ActivateOpts(r.rep, "replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,13 +540,13 @@ func TestDoubleActivationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.xh.Fail(hypervisor.Crashed, "injected")
-	if _, err := failover.Activate(r.rep, "replica", nil); err != nil {
+	if _, err := failover.ActivateOpts(r.rep, "replica", failover.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if r.rep.State() != replication.StateFailedOver {
 		t.Fatalf("state = %v after activation", r.rep.State())
 	}
-	if _, err := failover.Activate(r.rep, "replica-2", nil); !errors.Is(err, failover.ErrAlreadyActivated) {
+	if _, err := failover.ActivateOpts(r.rep, "replica-2", failover.Options{}); !errors.Is(err, failover.ErrAlreadyActivated) {
 		t.Fatalf("err = %v, want ErrAlreadyActivated", err)
 	}
 	// Replication is over too.
@@ -630,7 +630,7 @@ func TestFailoverRacesMidFlightCheckpoint(t *testing.T) {
 	}
 	xh.Fail(hypervisor.Crashed, "dies with checkpoint in flight")
 
-	res, err := failover.Activate(rep, "replica", nil)
+	res, err := failover.ActivateOpts(rep, "replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,7 +687,7 @@ func TestGuestClockMonotonicAcrossFailover(t *testing.T) {
 	}
 
 	r.xh.Fail(hypervisor.Crashed, "injected")
-	res, err := failover.Activate(r.rep, "replica", nil)
+	res, err := failover.ActivateOpts(r.rep, "replica", failover.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -394,18 +394,6 @@ func (v *VM) MachineState() arch.MachineState {
 	return v.state.Clone()
 }
 
-// SetDevices replaces the VM's device list. The VM must be paused;
-// the device manager uses this during failover replug (§7.3).
-func (v *VM) SetDevices(devs []arch.DeviceState) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.running {
-		return fmt.Errorf("vm %q: %w", v.name, ErrVMNotPaused)
-	}
-	v.state.Devices = append([]arch.DeviceState(nil), devs...)
-	return nil
-}
-
 // SetVCPURegs updates one vCPU's register file (guest execution
 // progress is modeled by workloads advancing RIP and friends).
 func (v *VM) SetVCPURegs(vcpu int, regs arch.Registers) error {

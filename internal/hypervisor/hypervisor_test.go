@@ -328,25 +328,6 @@ func TestRestoreVMRejectsNilMemory(t *testing.T) {
 	}
 }
 
-func TestSetDevicesRequiresPause(t *testing.T) {
-	h, _ := newXen(t)
-	vm, err := h.CreateVM(basicCfg("vm1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := []arch.DeviceState{{Class: arch.DeviceNet, ID: "net0", Model: "virtio-net"}}
-	if err := vm.SetDevices(devs); !errors.Is(err, hypervisor.ErrVMNotPaused) {
-		t.Fatalf("SetDevices on running VM: err = %v", err)
-	}
-	vm.Pause()
-	if err := vm.SetDevices(devs); err != nil {
-		t.Fatal(err)
-	}
-	if got := vm.MachineState().Devices[0].Model; got != "virtio-net" {
-		t.Fatalf("device model = %q after SetDevices", got)
-	}
-}
-
 func TestSetVCPURegs(t *testing.T) {
 	h, _ := newXen(t)
 	vm, err := h.CreateVM(basicCfg("vm1"))

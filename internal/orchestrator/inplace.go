@@ -9,7 +9,6 @@ import (
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/recovery"
-	"github.com/here-ft/here/internal/replication"
 	"github.com/here-ft/here/internal/trace"
 )
 
@@ -46,9 +45,6 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		Kind: journal.RecRebootIntent, VM: p.Name,
 		Target: host.HostName(), Generation: p.Generation,
 	}); err != nil {
-		return false, err
-	}
-	if err := m.crash("reboot-intent"); err != nil {
 		return false, err
 	}
 
@@ -98,9 +94,6 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		return false, nil
 	}
 
-	if err := m.crash("reboot-done"); err != nil {
-		return false, err
-	}
 	if err := m.journalAppend(journal.Record{
 		Kind: journal.RecRebooted, VM: p.Name, Target: host.HostName(),
 	}); err != nil {
@@ -135,12 +128,6 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 	p.secondaries = nil
 
 	if depHost, dep, ok := bestDeposit(p.Name, live); ok {
-		seq := dep.Epoch
-		if p.acked > seq {
-			// The journal acked further than the deposit claims; trust
-			// the higher cursor so epochs never regress.
-			seq = p.acked
-		}
 		// The microreboot's conservative re-mark assumed every populated
 		// page changed during the blackout. The deposit is a faithful
 		// copy of what the surviving leg holds, and the guest's RAM
@@ -157,8 +144,8 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		for _, pg := range delta {
 			tr.Bitmap().Set(pg)
 		}
-		resume := &replication.ResumeState{Mem: dep.Mem, Image: dep.Image, Seq: seq}
-		if _, err := m.wire(p, host, []*hypervisor.Host{depHost}, resume, nil); err != nil {
+		seq, err := m.resume(p, host, depHost, dep, p.acked)
+		if err != nil {
 			// The guest is saved either way; leave it unprotected and let
 			// the next tick re-pair.
 			return true, err
@@ -166,11 +153,7 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		m.record(EventMicrorebooted, p.Name, fmt.Sprintf(
 			"%s recovered in place (%s, %d attempt(s), %v); delta resync of %d page(s) from %s at epoch %d",
 			host.HostName(), dec, mach.Attempts(), elapsed, len(delta), depHost.HostName(), seq))
-		if err := m.journalAppend(journal.Record{
-			Kind: journal.RecReprotect, VM: p.Name,
-			Secondary:   depHost.HostName(),
-			Secondaries: []string{depHost.HostName()},
-		}); err != nil {
+		if err := m.journalChain(p.Name, []*hypervisor.Host{depHost}); err != nil {
 			return true, err
 		}
 		// Complete the delta resync inside the recovery round: the

@@ -14,6 +14,7 @@ import (
 
 	"github.com/here-ft/here/internal/faults"
 	"github.com/here-ft/here/internal/hypervisor"
+	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/recovery"
@@ -272,11 +273,11 @@ func TestRecoveryLadderEscalatesToFailover(t *testing.T) {
 func TestRestartResolvesInterruptedMicroreboot(t *testing.T) {
 	cases := []struct {
 		name   string
-		point  string
+		at     boundary
 		healed bool // the microreboot completed before the crash
 	}{
-		{"killed-at-intent", "reboot-intent", false},
-		{"killed-after-reboot", "reboot-done", true},
+		{"killed-at-intent", boundary{op: "append", kind: journal.RecRebootIntent, after: true}, false},
+		{"killed-after-reboot", boundary{op: "append", kind: journal.RecRebooted}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,13 +299,7 @@ func TestRestartResolvesInterruptedMicroreboot(t *testing.T) {
 			h.ticks(3)
 			st0 := h.status("vm")
 
-			boom := errors.New("daemon crashed at " + tc.point)
-			h.m.crashHook = func(p string) error {
-				if p == tc.point {
-					return boom
-				}
-				return nil
-			}
+			boom := h.crashAt(tc.at)
 			plan := faults.New(h.clk, 3)
 			plan.HostTransientHang(0, 0, hostNamed(h.hosts, st0.Primary.Name), "stall")
 			plan.Advance(h.clk.Now())

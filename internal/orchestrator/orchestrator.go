@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -434,10 +436,10 @@ type Manager struct {
 	// minted before a crash can never activate after the restart.
 	guard *failover.Guard
 
-	// crashHook, when set (tests only), is called at named points
-	// inside mutating operations; a non-nil return aborts the
-	// operation mid-flight, simulating the process dying there.
-	crashHook func(point string) error
+	// crashHook, when set (tests only), is called at every boundary of
+	// a journal append or host side effect; a non-nil return aborts the
+	// operation there, simulating the process dying at that step.
+	crashHook func(boundary) error
 
 	// planner scores replica placements by shared-CVE overlap and host
 	// load (internal/placement); built at construction.
@@ -538,10 +540,6 @@ func (m *Manager) owns(name string) bool {
 	return m.cfg.Owns == nil || m.cfg.Owns(name)
 }
 
-// Planner exposes the placement engine (the control plane serves its
-// score matrix on /v1/placement).
-func (m *Manager) Planner() *placement.Engine { return m.planner }
-
 // PlacementMatrix snapshots the pairwise placement scores of the
 // current fleet — every (primary, secondary) host pair with its CVE
 // overlap, load and combined score. It reads the published host list,
@@ -555,24 +553,77 @@ func (m *Manager) PlacementMatrix() []placement.MatrixEntry {
 // invariants; activation paths use it internally).
 func (m *Manager) Guard() *failover.Guard { return m.guard }
 
+// boundary is one place the test-only crash hook can stop a mutating
+// operation: before or after a journal write or a host side effect.
+type boundary struct {
+	// op is "append" (durable), "write" (not waited for), "sync",
+	// "activate", "destroy", "deposit" or "drop".
+	op    string
+	kind  journal.RecordKind // the record an append or write logs
+	after bool
+}
+
+// step runs do, one journal write or host side effect, between its two
+// crash-hook boundaries. Caller holds m.mu.
+func (m *Manager) step(op string, kind journal.RecordKind, do func() error) error {
+	if m.crashHook != nil {
+		if err := m.crashHook(boundary{op: op, kind: kind}); err != nil {
+			return err
+		}
+	}
+	if err := do(); err != nil {
+		return err
+	}
+	if m.crashHook != nil {
+		return m.crashHook(boundary{op: op, kind: kind, after: true})
+	}
+	return nil
+}
+
 // journalAppend durably logs one control-plane mutation, stamped with
 // the current event sequence. A nil journal makes it a no-op. Caller
 // holds m.mu.
 func (m *Manager) journalAppend(rec journal.Record) error {
-	if m.cfg.Journal == nil {
+	return m.journalWrite(rec, true)
+}
+
+// journalWrite is journalAppend that, with wait false, returns once the
+// record is written, before it is durable: a later append or a sync
+// covers it. Caller holds m.mu.
+func (m *Manager) journalWrite(rec journal.Record, wait bool) error {
+	j := m.cfg.Journal
+	if j == nil {
 		return nil
 	}
 	rec.EventSeq = m.lastSeq.Load()
-	return m.cfg.Journal.Append(rec)
+	op, write := "append", j.Append
+	if !wait {
+		op, write = "write", j.AppendNoWait
+	}
+	return m.step(op, rec.Kind, func() error { return write(rec) })
 }
 
-// crash triggers the test-only crash hook at a named point. Caller
-// holds m.mu.
-func (m *Manager) crash(point string) error {
-	if m.crashHook == nil {
+// journalChain durably records secs, leg order, as the replica chain of
+// the protection name. Caller holds m.mu.
+func (m *Manager) journalChain(name string, secs []*hypervisor.Host) error {
+	return m.journalAppend(journal.Record{
+		Kind: journal.RecReprotect, VM: name,
+		Secondaries: secondaryNames(secs),
+	})
+}
+
+// destroyVM destroys a VM copy on h. Caller holds m.mu.
+func (m *Manager) destroyVM(h *hypervisor.Host, name string) error {
+	return m.step("destroy", "", func() error { return h.DestroyVM(name) })
+}
+
+// dropReplica drops the replica deposit h holds for name. A crash here
+// surfaces at the caller's next journal write. Caller holds m.mu.
+func (m *Manager) dropReplica(h *hypervisor.Host, name string) {
+	_ = m.step("drop", "", func() error {
+		h.DropReplica(name)
 		return nil
-	}
-	return m.crashHook(point)
+	})
 }
 
 // hostByName finds a registered host. Caller holds m.mu.
@@ -671,15 +722,6 @@ func secondaryNames(secs []*hypervisor.Host) []string {
 		out[i] = h.HostName()
 	}
 	return out
-}
-
-// firstName is the leg-0 host name ("" for an empty chain) — the
-// legacy single-secondary journal field.
-func firstName(secs []*hypervisor.Host) string {
-	if len(secs) == 0 {
-		return ""
-	}
-	return secs[0].HostName()
 }
 
 // chainDetail renders a chain for event logs: "k1 (QEMU-KVM 7.2)" or
@@ -797,21 +839,7 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 		return nil, mapPlanErr(err)
 	}
 	primary := asn.Primary
-	chain := make([]hypervisor.Hypervisor, 0, len(asn.Secondaries)+1)
-	chain = append(chain, primary)
-	for _, s := range asn.Secondaries {
-		chain = append(chain, s)
-	}
-	vm, err := primary.CreateVM(hypervisor.VMConfig{
-		Name:     spec.Name,
-		MemBytes: spec.MemoryBytes,
-		VCPUs:    spec.VCPUs,
-		Features: translate.CompatibleFeaturesAll(chain...),
-		Devices: []hypervisor.DeviceSpec{
-			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:48:45:52"},
-			{Class: arch.DeviceConsole, ID: "con0"},
-		},
-	})
+	vm, err := createVM(spec.Name, spec.MemoryBytes, spec.VCPUs, primary, asn.Secondaries)
 	if err != nil {
 		return nil, err
 	}
@@ -830,7 +858,7 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 	}
 	prot.tr = m.newTracer()
 	if _, err := m.wire(prot, primary, asn.Secondaries, nil, nil); err != nil {
-		_ = primary.DestroyVM(spec.Name)
+		_ = m.destroyVM(primary, spec.Name)
 		return nil, err
 	}
 	m.prots[spec.Name] = prot
@@ -851,7 +879,6 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 			Quorum:      spec.Quorum,
 		},
 		Primary:     primary.HostName(),
-		Secondary:   firstName(asn.Secondaries),
 		Secondaries: secondaryNames(asn.Secondaries),
 		VMName:      spec.Name,
 		Budget:      prot.budget,
@@ -860,6 +887,25 @@ func (m *Manager) Protect(spec VMSpec) (*Protection, error) {
 		return nil, err
 	}
 	return prot, nil
+}
+
+// createVM boots a protection's guest on primary with the CPU features
+// every host of its chain supports, so it can resume on any replica.
+func createVM(name string, memBytes uint64, vcpus int, primary *hypervisor.Host, secondaries []*hypervisor.Host) (*hypervisor.VM, error) {
+	chain := []hypervisor.Hypervisor{primary}
+	for _, s := range secondaries {
+		chain = append(chain, s)
+	}
+	return primary.CreateVM(hypervisor.VMConfig{
+		Name:     name,
+		MemBytes: memBytes,
+		VCPUs:    vcpus,
+		Features: translate.CompatibleFeaturesAll(chain...),
+		Devices: []hypervisor.DeviceSpec{
+			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:48:45:52"},
+			{Class: arch.DeviceConsole, ID: "con0"},
+		},
+	})
 }
 
 // wire builds the replication chain and monitor for prot onto the
@@ -877,6 +923,12 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	}
 	legs := make([]replication.Secondary, 0, len(secondaries))
 	var dialed replication.Transport
+	defer func() {
+		// A wiring error releases a freshly dialed transport.
+		if c, ok := dialed.(io.Closer); ok && err != nil {
+			_ = c.Close()
+		}
+	}()
 	if m.cfg.DialTransport != nil {
 		if len(secondaries) > 1 {
 			return 0, fmt.Errorf("orchestrator: a dialed network transport replicates to a single secondary, got %d", len(secondaries))
@@ -906,7 +958,6 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 	}
 	pm, err := period.New(period.Config{D: prot.budget, Tmax: prot.tmax})
 	if err != nil {
-		closeIfDialed(m, dialed)
 		return 0, err
 	}
 	rep, err := replication.NewChain(prot.vm, legs, replication.Config{
@@ -923,13 +974,11 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 		DegradedMode: m.cfg.DialTransport != nil,
 	})
 	if err != nil {
-		closeIfDialed(m, dialed)
 		return 0, err
 	}
 	if resume == nil {
 		res, err := rep.Seed()
 		if err != nil {
-			closeIfDialed(m, dialed)
 			return 0, err
 		}
 		later = res.LaterPages
@@ -941,7 +990,6 @@ func (m *Manager) wire(prot *Protection, primary *hypervisor.Host, secondaries [
 		Metrics:  m.cfg.Metrics,
 	})
 	if err != nil {
-		closeIfDialed(m, dialed)
 		return 0, err
 	}
 	prot.rep = rep
@@ -968,17 +1016,6 @@ func closeTransport(p *Protection) {
 	p.transport = nil
 }
 
-// closeIfDialed releases a freshly dialed transport on a wiring error;
-// simnet links pass through untouched.
-func closeIfDialed(m *Manager, tp replication.Transport) {
-	if m.cfg.DialTransport == nil {
-		return
-	}
-	if c, ok := tp.(io.Closer); ok {
-		_ = c.Close()
-	}
-}
-
 // AttachPeerServer registers the daemon's secondary-side transport
 // listener (hered -peer-listen) so its replica sessions appear in
 // TransportStatus alongside the protections' clients.
@@ -1000,13 +1037,8 @@ type statusReporter interface {
 func (m *Manager) TransportStatus() []transport.PeerStatus {
 	m.mu.Lock()
 	srv := m.peerSrv
-	names := make([]string, 0, len(m.prots))
-	for name := range m.prots {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	clients := make([]statusReporter, 0, len(names))
-	for _, name := range names {
+	clients := make([]statusReporter, 0, len(m.prots))
+	for _, name := range slices.Sorted(maps.Keys(m.prots)) {
 		if r, ok := m.prots[name].transport.(statusReporter); ok {
 			clients = append(clients, r)
 		}
@@ -1044,8 +1076,10 @@ func (m *Manager) depositReplica(p *Protection) {
 		if err != nil {
 			continue
 		}
-		_ = host.DepositReplica(p.Name, hypervisor.ReplicaDeposit{
-			Mem: h.Mem, Image: h.Image, Epoch: h.Seq,
+		_ = m.step("deposit", "", func() error {
+			return host.DepositReplica(p.Name, hypervisor.ReplicaDeposit{
+				Mem: h.Mem, Image: h.Image, Epoch: h.Seq,
+			})
 		})
 	}
 }
@@ -1069,12 +1103,7 @@ func (m *Manager) lookupLocked(name string) (*Protection, error) {
 func (m *Manager) Protections() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.prots))
-	for n := range m.prots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(m.prots))
 }
 
 // protSnap is one protection's entry in the published fleet snapshot:
@@ -1147,9 +1176,6 @@ func (m *Manager) snapLocked(p *Protection) *protSnap {
 		RecoveryPolicy: p.recoveryPol,
 	}
 	st.Want = p.want
-	if st.Want <= 0 {
-		st.Want = 1
-	}
 	if p.rep != nil {
 		st.Legs = p.rep.Legs()
 		st.Quorum = p.rep.Quorum()
@@ -1190,11 +1216,7 @@ func (m *Manager) snapLocked(p *Protection) *protSnap {
 // AddHost, recovery); single-protection mutators use publishUpsert /
 // publishRemove, which share every unchanged entry.
 func (m *Manager) publishAll() {
-	names := make([]string, 0, len(m.prots))
-	for n := range m.prots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(m.prots))
 	snap := &statusSnap{
 		prots: make([]*protSnap, 0, len(names)),
 		hosts: append([]*hypervisor.Host(nil), m.hosts...),
@@ -1284,19 +1306,13 @@ func (m *Manager) Unprotect(name string) error {
 	detail := "torn down"
 	if !p.lost && p.vm != nil {
 		if host, ok := p.primary.(*hypervisor.Host); ok && host.Health() == hypervisor.Healthy {
-			if derr := host.DestroyVM(p.vm.Name()); derr == nil {
+			if derr := m.destroyVM(host, p.vm.Name()); derr == nil {
 				detail = fmt.Sprintf("destroyed %s on %s", p.vm.Name(), host.HostName())
 			}
 		}
 	}
-	for _, host := range p.secondaries {
-		host.DropReplica(name)
-	}
-	closeTransport(p)
-	p.rep = nil
-	p.mon = nil
+	m.retireChain(p)
 	p.pm = nil
-	p.secondaries = nil
 	m.record(EventRemoved, name, detail)
 	return m.journalAppend(journal.Record{Kind: journal.RecUnprotect, VM: name})
 }
@@ -1320,91 +1336,13 @@ func (m *Manager) Failover(name string) (failover.Result, error) {
 	if p.lost {
 		return failover.Result{}, ErrServiceLost
 	}
-	if p.rep == nil || len(p.secondaries) == 0 {
-		return failover.Result{}, fmt.Errorf("%w: %q runs unprotected", ErrNoReplica, name)
-	}
-	// Activate the freshest replica: the live, seeded leg that
-	// acknowledged a checkpoint most recently, so no committed epoch
-	// regresses even when one secondary was lagging behind the quorum.
-	legIdx, err := p.rep.FreshestLeg()
+	src, err := freshestLeg(p)
 	if err != nil {
-		return failover.Result{}, fmt.Errorf("%w: %v", ErrNoReplica, err)
-	}
-	targetH, err := p.rep.LegHost(legIdx)
-	if err != nil {
-		return failover.Result{}, fmt.Errorf("%w: %v", ErrNoReplica, err)
-	}
-	target, ok := targetH.(*hypervisor.Host)
-	if !ok || target.Health() != hypervisor.Healthy {
-		return failover.Result{}, fmt.Errorf("%w: secondary %s is %s",
-			ErrNoReplica, targetH.HostName(), targetH.Health())
-	}
-	settled := p.rep.Settled(legIdx) // asked before the activation retires the session
-	gen := p.Generation + 1
-	replicaName := fmt.Sprintf("%s-g%d", p.Name, gen)
-	// Journal the activation intent (with a freshly minted fencing
-	// token) BEFORE any side effect: a crash from here on is resolvable
-	// on restart by probing the target for the activated replica.
-	token := m.guard.Mint()
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFenceIntent, VM: name,
-		Generation: gen, Target: target.HostName(), Fence: token,
-	}); err != nil {
 		return failover.Result{}, err
 	}
-	if err := m.crash("failover-intent"); err != nil {
-		return failover.Result{}, err
-	}
-	res, err := failover.ActivateOpts(p.rep, replicaName,
-		failover.Options{Monitor: p.mon, Force: true, Guard: m.guard, Token: token, Leg: legIdx})
-	if err != nil {
-		return failover.Result{}, fmt.Errorf("orchestrator: vm %q failover: %w", name, err)
-	}
-	if err := m.crash("failover-activated"); err != nil {
-		return res, err
-	}
-	p.Generation = gen
-	// Fence: the old primary copy must not keep executing beside the
-	// activated replica; only one provably stopped may be kept as the next.
-	warm := &warmCopy{}
-	if host, ok := p.primary.(*hypervisor.Host); ok && host.Health() == hypervisor.Healthy {
-		if err := host.DestroyVM(p.vm.Name()); err == nil && settled {
-			// Stopped for good, so its dirty log is final: the drift.
-			warm.host, warm.mem, warm.drift = host, p.vm.Memory(), p.vm.Tracker().Bitmap()
-		}
-	}
-	m.record(EventFailedOver, name,
-		fmt.Sprintf("forced: resumed on %s in %v", target.HostName(), res.ResumeTime))
-	p.vm = res.VM
-	p.primary = target
-	m.retireChain(p)
-	// Written, not waited for: the intent is durable, and recovery commits
-	// an intent whose RecFailover a machine crash lost by probing the target
-	// (resolveIntent). The re-protect's durable append covers this one, so
-	// Failover still returns with every record on disk. Never on the tick.
-	j := m.cfg.Journal
-	if j != nil {
-		if err := j.AppendNoWait(journal.Record{
-			Kind: journal.RecFailover, VM: name, EventSeq: m.lastSeq.Load(),
-			Generation: gen, Primary: p.primary.HostName(), VMName: replicaName, Fence: token,
-		}); err != nil {
-			return res, err
-		}
-	}
-	if err := m.crash("failover-journaled"); err != nil {
-		return res, err
-	}
-	err = m.tryReprotect(p, warm)
-	if err != nil && j != nil {
-		// No durable RecReprotect followed (no heterogeneous spare).
-		if serr := j.Sync(); serr != nil {
-			return res, serr
-		}
-	}
-	if err != nil && !errors.Is(err, ErrNoHeterogeneous) {
-		return res, err
-	}
-	return res, nil
+	return m.failoverTo(p, src, failoverDetail{
+		resumed: "forced: resumed on %[2]s in %[3]v", seed: true,
+	})
 }
 
 // SetPeriod live-tunes a protection's dynamic period controller: the
@@ -1484,18 +1422,12 @@ func (m *Manager) Tick() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	defer m.publishAll()
-	prots := make([]*Protection, 0, len(m.prots))
-	for _, p := range m.prots {
-		prots = append(prots, p)
-	}
-	sort.Slice(prots, func(i, j int) bool { return prots[i].Name < prots[j].Name })
-
 	// Every protection gets its round even when an earlier one fails;
 	// the errors are aggregated so one failing protection can't mask
 	// the others (errors.Is still matches each joined error).
 	var errs []error
-	for _, p := range prots {
-		if err := m.tickOne(p); err != nil &&
+	for _, name := range slices.Sorted(maps.Keys(m.prots)) {
+		if err := m.tickOne(m.prots[name]); err != nil &&
 			!errors.Is(err, ErrServiceLost) && !errors.Is(err, ErrNoHeterogeneous) {
 			errs = append(errs, err)
 		}
@@ -1567,19 +1499,15 @@ func (m *Manager) pruneLegs(p *Protection) error {
 			return fmt.Errorf("orchestrator: vm %q: %w", p.Name, err)
 		}
 		if host != nil && host.Health() == hypervisor.Healthy {
-			host.DropReplica(p.Name)
+			m.dropReplica(host, p.Name)
 		}
-		m.forgetSecondary(p, st.Host)
+		p.secondaries = slices.DeleteFunc(p.secondaries, func(h *hypervisor.Host) bool { return h.HostName() == st.Host })
 		detail := st.Host
 		if st.Dead {
 			detail = fmt.Sprintf("%s (%s)", st.Host, st.DeadCause)
 		}
 		m.record(EventSecondaryLost, p.Name, detail)
-		if err := m.journalAppend(journal.Record{
-			Kind: journal.RecReprotect, VM: p.Name,
-			Secondary:   firstName(p.secondaries),
-			Secondaries: secondaryNames(p.secondaries),
-		}); err != nil {
+		if err := m.journalChain(p.Name, p.secondaries); err != nil {
 			return err
 		}
 	}
@@ -1611,10 +1539,6 @@ func (m *Manager) topUpLegs(p *Protection) error {
 	if !ok {
 		return nil
 	}
-	want := p.want
-	if want <= 0 {
-		want = 1
-	}
 	live := 0
 	inChain := make(map[string]bool)
 	for _, st := range p.rep.Legs() {
@@ -1623,7 +1547,7 @@ func (m *Manager) topUpLegs(p *Protection) error {
 			live++
 		}
 	}
-	missing := want - live
+	missing := p.want - live
 	if missing <= 0 {
 		return nil
 	}
@@ -1655,7 +1579,7 @@ func (m *Manager) topUpLegs(p *Protection) error {
 		}
 		// The deposit's memory is the leg's now, and about to change under
 		// its stale image: parked again, with a matching one, at the first ack.
-		h.DropReplica(p.Name)
+		m.dropReplica(h, p.Name)
 		p.secondaries = append(p.secondaries, h)
 		m.record(EventReprotected, p.Name,
 			fmt.Sprintf("%s (%s) joins the chain", h.HostName(), h.Product()))
@@ -1664,42 +1588,10 @@ func (m *Manager) topUpLegs(p *Protection) error {
 		// Back at width: what a host outside the chain still holds is
 		// nobody's replica (a no-op for the ones that just joined).
 		for _, h := range pool {
-			h.DropReplica(p.Name)
+			m.dropReplica(h, p.Name)
 		}
 	}
-	return m.journalAppend(journal.Record{
-		Kind: journal.RecReprotect, VM: p.Name,
-		Secondary:   firstName(p.secondaries),
-		Secondaries: secondaryNames(p.secondaries),
-	})
-}
-
-// forgetSecondary removes one host from the protection's chain-host
-// list after its leg was dropped. Caller holds m.mu.
-func (m *Manager) forgetSecondary(p *Protection, name string) {
-	out := p.secondaries[:0]
-	for _, h := range p.secondaries {
-		if h.HostName() != name {
-			out = append(out, h)
-		}
-	}
-	p.secondaries = out
-}
-
-// retireChain clears a protection's replication chain after its
-// replica was activated by a failover: every former secondary's
-// deposit is dropped (the activated copy is the live VM, the rest are
-// stale generations) and the session state is reset. Caller holds
-// m.mu.
-func (m *Manager) retireChain(p *Protection) {
-	for _, h := range p.secondaries {
-		h.DropReplica(p.Name)
-	}
-	closeTransport(p)
-	p.secondaries = nil
-	p.rep = nil
-	p.mon = nil
-	p.acked = 0
+	return m.journalChain(p.Name, p.secondaries)
 }
 
 // ackCheckpoint records checkpoint progress after a successful cycle:
@@ -1751,25 +1643,13 @@ func (m *Manager) dropSecondaries(p *Protection) {
 // deadline — escalates to fenced failover onto the freshest surviving
 // chain leg. Caller holds m.mu.
 func (m *Manager) handleFailure(p *Protection) error {
-	var (
-		legIdx int
-		target *hypervisor.Host
-	)
-	if p.rep != nil {
-		if i, err := p.rep.FreshestLeg(); err == nil {
-			if h, lerr := p.rep.LegHost(i); lerr == nil {
-				if host, ok := h.(*hypervisor.Host); ok && host.Health() == hypervisor.Healthy {
-					legIdx, target = i, host
-				}
-			}
-		}
-	}
+	src, noTarget := freshestLeg(p)
 	dec := recovery.Failover
 	primaryHost, _ := p.primary.(*hypervisor.Host)
 	if primaryHost != nil {
 		dec = recovery.Classify(primaryHost.Health(), primaryHost.Capabilities(), p.recoveryPol)
 	}
-	if dec == recovery.Failover && target == nil {
+	if dec == recovery.Failover && noTarget != nil {
 		p.lost = true
 		m.record(EventServiceLost, p.Name, "no healthy replica host")
 		_ = m.journalAppend(journal.Record{Kind: journal.RecLost, VM: p.Name})
@@ -1797,7 +1677,7 @@ func (m *Manager) handleFailure(p *Protection) error {
 		}
 		// The ladder is spent; without a surviving leg there is nothing
 		// to escalate onto either.
-		if target == nil {
+		if noTarget != nil {
 			p.lost = true
 			m.record(EventServiceLost, p.Name,
 				"in-place recovery exhausted and no healthy replica host")
@@ -1806,112 +1686,8 @@ func (m *Manager) handleFailure(p *Protection) error {
 		}
 	}
 
-	gen := p.Generation + 1
-	replicaName := fmt.Sprintf("%s-g%d", p.Name, gen)
-	token := m.guard.Mint()
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFenceIntent, VM: p.Name,
-		Generation: gen, Target: target.HostName(), Fence: token,
-	}); err != nil {
-		return err
-	}
-	if err := m.crash("failover-intent"); err != nil {
-		return err
-	}
-	res, err := failover.ActivateOpts(p.rep, replicaName,
-		failover.Options{Guard: m.guard, Token: token, Leg: legIdx})
-	if err != nil {
-		return fmt.Errorf("orchestrator: vm %q failover: %w", p.Name, err)
-	}
-	if err := m.crash("failover-activated"); err != nil {
-		return err
-	}
-	p.Generation = gen
-	m.record(EventFailedOver, p.Name,
-		fmt.Sprintf("resumed on %s in %v", target.HostName(), res.ResumeTime))
-	p.vm = res.VM
-	p.primary = target
-	m.retireChain(p)
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFailover, VM: p.Name,
-		Generation: gen, Primary: target.HostName(), VMName: replicaName, Fence: token,
-	}); err != nil {
-		return err
-	}
-	return m.tryReprotect(p, nil)
-}
-
-// warmCopy is what a forced failover keeps for the re-protect that
-// follows it: the destroyed primary's memory, still on its host, and its
-// dirty log, which — the session was settled — names every page where
-// that memory differs from the activated replica: what a seed that
-// converges it ships, with what the new primary dirtied since. All nil
-// when nothing was kept: the old host was unhealthy, DestroyVM failed
-// (the copy may still run), or the retiring session was not settled. A
-// nil *warmCopy is any other re-protect.
-type warmCopy struct {
-	host  *hypervisor.Host
-	mem   *memory.GuestMemory
-	drift *memory.DirtyBitmap
-}
-
-// tryReprotect pairs an unprotected VM with a freshly planned chain of
-// heterogeneous secondaries and seeds replication again; a leg that
-// lands on warm's host is seeded warm. Until its seed returns that leg
-// is unseeded like any other and nothing is journaled: a crash mid-seed
-// recovers unprotected, then cold, as ever (DESIGN §11). Holds m.mu.
-func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
-	primary, ok := p.primary.(*hypervisor.Host)
-	if !ok {
-		return fmt.Errorf("orchestrator: vm %q: unexpected host type", p.Name)
-	}
-	want := p.want
-	if want <= 0 {
-		want = 1
-	}
-	spec := placement.Spec{Name: p.Name, Secondaries: want, Primary: primary.HostName()}
-	if warm != nil && warm.host != nil {
-		spec.Warm = warm.host.HostName()
-	}
-	asn, err := m.planner.PlanSecondaries(spec, primary, m.hosts)
-	if err != nil {
-		err = mapPlanErr(err)
-		if p.rep == nil {
-			m.record(EventUnprotected, p.Name, err.Error())
-		}
-		return err
-	}
-	p.decision = asn.Decision
-	later, err := m.wire(p, primary, asn.Secondaries, nil, warm)
-	if err != nil {
-		return err
-	}
-	detail := fmt.Sprintf("%s (%s) -> %s", primary.HostName(), primary.Product(),
-		chainDetail(asn.Secondaries))
-	// Distinct pages, at most the guest's per leg; what a busy guest made
-	// the later rounds carry is counted apart.
-	first := p.rep.Totals().PagesSent - later
-	seed, seeds := "cold seed", m.seedsCold
-	for _, ch := range asn.Decision.Secondaries {
-		if ch.Warm {
-			seed = fmt.Sprintf("warm seed: %d of %d pages", first,
-				len(asn.Secondaries)*int(p.vm.Memory().NumPages()))
-			if later > 0 {
-				seed += fmt.Sprintf(", %d more in later rounds", later)
-			}
-			seeds = m.seedsWarm
-		}
-	}
-	seeds.Inc()
-	m.seedPages.Add(first)
-	m.seedLater.Add(later)
-	if warm != nil { // a forced failover: the only re-protect with a choice to report
-		detail += "; " + seed
-	}
-	m.record(EventReprotected, p.Name, detail)
-	return m.journalAppend(journal.Record{
-		Kind: journal.RecReprotect, VM: p.Name,
-		Secondary:   firstName(asn.Secondaries),
-		Secondaries: secondaryNames(asn.Secondaries),
+	_, err := m.failoverTo(p, src, failoverDetail{
+		resumed: "resumed on %[2]s in %[3]v",
 	})
+	return err
 }

@@ -7,14 +7,11 @@ import (
 	"strings"
 	"time"
 
-	"github.com/here-ft/here/internal/arch"
-	"github.com/here-ft/here/internal/failover"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/placement"
 	"github.com/here-ft/here/internal/recovery"
 	"github.com/here-ft/here/internal/replication"
-	"github.com/here-ft/here/internal/translate"
 )
 
 // RecoverReport summarizes a restart-recovery: how each journaled
@@ -153,9 +150,7 @@ func (m *Manager) FenceRecovery(st *journal.State) (uint64, error) {
 	defer m.mu.Unlock()
 	m.adoptWatermarks(st)
 	fence := st.Fence + 1
-	if err := m.cfg.Journal.Append(journal.Record{
-		Kind: journal.RecFence, Fence: fence, EventSeq: m.lastSeq.Load(),
-	}); err != nil {
+	if err := m.journalAppend(journal.Record{Kind: journal.RecFence, Fence: fence}); err != nil {
 		return 0, err
 	}
 	m.guard.Advance(fence)
@@ -204,7 +199,7 @@ func (m *Manager) resolveIntent(name string, jp *journal.Protection) error {
 	// its host still runs it — the replica is the one true VM now.
 	if old := m.hostByName(jp.Primary); old != nil &&
 		old.Health() == hypervisor.Healthy && jp.Primary != pending.Target {
-		_ = old.DestroyVM(jp.VMName)
+		_ = m.destroyVM(old, jp.VMName)
 	}
 	jp.Generation = pending.Generation
 	jp.Primary = pending.Target
@@ -212,11 +207,11 @@ func (m *Manager) resolveIntent(name string, jp *journal.Protection) error {
 	jp.Secondaries = nil
 	jp.VMName = replicaName
 	jp.AckedEpoch = 0
-	target.DropReplica(name)
+	m.dropReplica(target, name)
 	m.record(EventRecovered, name,
 		fmt.Sprintf("crash-interrupted failover committed: %s runs on %s", replicaName, pending.Target))
-	return m.cfg.Journal.Append(journal.Record{
-		Kind: journal.RecFailover, VM: name, EventSeq: m.lastSeq.Load(),
+	return m.journalAppend(journal.Record{
+		Kind: journal.RecFailover, VM: name,
 		Generation: pending.Generation, Primary: pending.Target,
 		VMName: replicaName, Fence: pending.Fence,
 	})
@@ -294,7 +289,7 @@ func (m *Manager) recoverOne(name string, jp *journal.Protection, rep *RecoverRe
 	}
 
 	if primary == nil || primary.Health() != hypervisor.Healthy {
-		return m.recoverFailover(prot, jp, secondaries, rep)
+		return m.recoverFailover(prot, secondaries, rep)
 	}
 	prot.primary = primary
 
@@ -356,14 +351,8 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 		return nil
 	}
 	if host, deposit, ok := bestDeposit(prot.Name, secondaries); ok {
-		seq := deposit.Epoch
-		if jp.AckedEpoch > seq {
-			// The journal acked further than the deposit claims; trust
-			// the higher cursor so epochs never regress.
-			seq = jp.AckedEpoch
-		}
-		resume := &replication.ResumeState{Mem: deposit.Mem, Image: deposit.Image, Seq: seq}
-		if _, err := m.wire(prot, primary, []*hypervisor.Host{host}, resume, nil); err != nil {
+		seq, err := m.resume(prot, primary, host, deposit, jp.AckedEpoch)
+		if err != nil {
 			return err
 		}
 		rep.Resumed++
@@ -372,10 +361,7 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 				primary.HostName(), host.HostName(), seq))
 		if len(secondaries) > 1 || prot.want > 1 {
 			// The chain width is restored by the tick loop's top-up.
-			return m.journalAppend(journal.Record{
-				Kind: journal.RecReprotect, VM: prot.Name,
-				Secondary: host.HostName(), Secondaries: []string{host.HostName()},
-			})
+			return m.journalChain(prot.Name, []*hypervisor.Host{host})
 		}
 		return nil
 	}
@@ -389,11 +375,18 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 	m.record(EventRecovered, prot.Name,
 		fmt.Sprintf("re-seeded on %s -> %s (replica deposit lost)",
 			primary.HostName(), chainDetail(secondaries)))
-	return m.journalAppend(journal.Record{
-		Kind: journal.RecReprotect, VM: prot.Name,
-		Secondary:   firstName(secondaries),
-		Secondaries: secondaryNames(secondaries),
-	})
+	return m.journalChain(prot.Name, secondaries)
+}
+
+// resume re-attaches p on primary to the deposit dep parked on host; the
+// next cycle ships a delta resync. It resumes at the later of the
+// deposit's epoch and acked, so epochs never regress, and returns that
+// epoch. Caller holds m.mu.
+func (m *Manager) resume(p *Protection, primary, host *hypervisor.Host, dep hypervisor.ReplicaDeposit, acked uint64) (uint64, error) {
+	seq := max(dep.Epoch, acked)
+	resume := &replication.ResumeState{Mem: dep.Mem, Image: dep.Image, Seq: seq}
+	_, err := m.wire(p, primary, []*hypervisor.Host{host}, resume, nil)
+	return seq, err
 }
 
 // recoverRecreate rebuilds a protection whose VM is gone (daemon and
@@ -410,25 +403,7 @@ func (m *Manager) recoverRecreate(prot *Protection, jp *journal.Protection,
 			prot.decision = asn.Decision
 		}
 	}
-	features := primary.Features()
-	if len(secondaries) > 0 {
-		chain := make([]hypervisor.Hypervisor, 0, len(secondaries)+1)
-		chain = append(chain, primary)
-		for _, s := range secondaries {
-			chain = append(chain, s)
-		}
-		features = translate.CompatibleFeaturesAll(chain...)
-	}
-	vm, err := primary.CreateVM(hypervisor.VMConfig{
-		Name:     jp.VMName,
-		MemBytes: jp.Spec.MemoryBytes,
-		VCPUs:    jp.Spec.VCPUs,
-		Features: features,
-		Devices: []hypervisor.DeviceSpec{
-			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:48:45:52"},
-			{Class: arch.DeviceConsole, ID: "con0"},
-		},
-	})
+	vm, err := createVM(jp.VMName, jp.Spec.MemoryBytes, jp.Spec.VCPUs, primary, secondaries)
 	if err != nil {
 		return fmt.Errorf("orchestrator: recover %q: %w", prot.Name, err)
 	}
@@ -451,19 +426,15 @@ func (m *Manager) recoverRecreate(prot *Protection, jp *journal.Protection,
 	m.record(EventRecovered, prot.Name,
 		fmt.Sprintf("recreated %s on %s -> %s from the journaled spec",
 			jp.VMName, primary.HostName(), chainDetail(secondaries)))
-	return m.journalAppend(journal.Record{
-		Kind: journal.RecReprotect, VM: prot.Name,
-		Secondary:   firstName(secondaries),
-		Secondaries: secondaryNames(secondaries),
-	})
+	return m.journalChain(prot.Name, secondaries)
 }
 
 // recoverFailover handles a primary that died while the control plane
 // was down: activate the freshest replica deposit surviving anywhere
-// on the journaled chain under a fresh fencing token, exactly as a
-// live-detected failure would have. Caller holds m.mu.
-func (m *Manager) recoverFailover(prot *Protection, jp *journal.Protection,
-	secondaries []*hypervisor.Host, rep *RecoverReport) error {
+// on the journaled chain through failoverTo, exactly as a live-detected
+// failure would have; a deposit that cannot be activated is the service
+// lost. Caller holds m.mu.
+func (m *Manager) recoverFailover(prot *Protection, secondaries []*hypervisor.Host, rep *RecoverReport) error {
 	secondary, deposit, ok := bestDeposit(prot.Name, secondaries)
 	if !ok {
 		prot.lost = true
@@ -471,60 +442,18 @@ func (m *Manager) recoverFailover(prot *Protection, jp *journal.Protection,
 		m.record(EventServiceLost, prot.Name, "primary died with the control plane; no replica deposit survived")
 		return m.journalAppend(journal.Record{Kind: journal.RecLost, VM: prot.Name})
 	}
-	gen := jp.Generation + 1
-	replicaName := fmt.Sprintf("%s-g%d", prot.Name, gen)
-	// The guard is shared and the placement groups recover side by
-	// side, so another group's activation can be admitted between this
-	// token's Mint and its Admit. Admit refuses before any side effect;
-	// the live path answers ErrFenced by retrying on the next round, and
-	// recovery — which has no next round and would otherwise declare a
-	// good deposit lost — mints again. Every refusal is another
-	// activation's success, so the loop ends.
-	var (
-		token uint64
-		res   failover.Result
-		err   error
-	)
-	for {
-		token = m.guard.Mint()
-		if err := m.journalAppend(journal.Record{
-			Kind: journal.RecFenceIntent, VM: prot.Name,
-			Generation: gen, Target: secondary.HostName(), Fence: token,
-		}); err != nil {
-			return err
-		}
-		res, err = failover.ActivateFromImage(secondary, replicaName, deposit.Image, deposit.Mem,
-			failover.Options{Guard: m.guard, Token: token, Tracer: prot.tr})
-		if !errors.Is(err, failover.ErrFenced) {
-			break
-		}
-	}
-	if err != nil {
+	res, err := m.failoverTo(prot, failoverSource{host: secondary, dep: &deposit, stale: secondaries}, failoverDetail{
+		resumed: "recovered from deposit: resumed %[1]s on %[2]s in %[3]v",
+	})
+	if res.VM == nil {
 		prot.lost = true
 		rep.Lost++
 		m.record(EventServiceLost, prot.Name, fmt.Sprintf("deposit activation failed: %v", err))
 		return m.journalAppend(journal.Record{Kind: journal.RecLost, VM: prot.Name})
 	}
-	prot.Generation = gen
-	prot.vm = res.VM
-	prot.primary = secondary
-	// The activated deposit is the live VM now; the other chain hosts'
-	// deposits are stale generations.
-	for _, h := range secondaries {
-		h.DropReplica(prot.Name)
+	if err != nil {
+		return err
 	}
 	rep.FailedOver++
-	m.record(EventFailedOver, prot.Name,
-		fmt.Sprintf("recovered from deposit: resumed %s on %s in %v",
-			replicaName, secondary.HostName(), res.ResumeTime))
-	if err := m.journalAppend(journal.Record{
-		Kind: journal.RecFailover, VM: prot.Name,
-		Generation: gen, Primary: secondary.HostName(), VMName: replicaName, Fence: token,
-	}); err != nil {
-		return err
-	}
-	if err := m.tryReprotect(prot, nil); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
-		return err
-	}
 	return nil
 }

@@ -151,6 +151,33 @@ func (h *crashHarness) ticks(n int) {
 	}
 }
 
+// crashAt arms the crash hook: the daemon dies at the first boundary
+// equal to at, and every boundary after it fails as well — a dead process
+// writes nothing more and touches no host. Returns the injected error.
+func (h *crashHarness) crashAt(at boundary) error {
+	boom := fmt.Errorf("daemon crashed %s", at)
+	dead := false
+	h.m.crashHook = func(b boundary) error {
+		dead = dead || b == at
+		if dead {
+			return boom
+		}
+		return nil
+	}
+	return boom
+}
+
+func (b boundary) String() string {
+	when := "before"
+	if b.after {
+		when = "after"
+	}
+	if b.kind == "" {
+		return fmt.Sprintf("%s %s", when, b.op)
+	}
+	return fmt.Sprintf("%s %s %s", when, b.op, b.kind)
+}
+
 func hostNamed(hosts []*hypervisor.Host, name string) *hypervisor.Host {
 	for _, h := range hosts {
 		if h.HostName() == name {
@@ -334,11 +361,11 @@ func TestRestartFailsOverDeadPrimaryFromDeposit(t *testing.T) {
 func TestRestartResolvesInterruptedFailover(t *testing.T) {
 	cases := []struct {
 		name      string
-		point     string
+		at        boundary
 		committed bool // the replica activation survived the crash
 	}{
-		{"killed-before-activation", "failover-intent", false},
-		{"killed-after-activation", "failover-activated", true},
+		{"killed-before-activation", boundary{op: "append", kind: journal.RecFenceIntent, after: true}, false},
+		{"killed-after-activation", boundary{op: "activate", after: true}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,13 +378,7 @@ func TestRestartResolvesInterruptedFailover(t *testing.T) {
 			h.ticks(3)
 			st0 := h.status("vm")
 
-			boom := errors.New("daemon crashed at " + tc.point)
-			h.m.crashHook = func(p string) error {
-				if p == tc.point {
-					return boom
-				}
-				return nil
-			}
+			boom := h.crashAt(tc.at)
 			hostNamed(h.hosts, st0.Primary.Name).Fail(hypervisor.Crashed, "primary lost")
 			if err := h.m.Tick(); !errors.Is(err, boom) {
 				t.Fatalf("Tick = %v, want the injected crash", err)
@@ -419,13 +440,7 @@ func TestRestartDestroysStaleCopyAfterInterruptedForcedFailover(t *testing.T) {
 
 	// A forced failover activates the replica, then the daemon dies
 	// before it can destroy the still-healthy old primary's copy.
-	boom := errors.New("daemon crashed before fencing the old primary")
-	h.m.crashHook = func(p string) error {
-		if p == "failover-activated" {
-			return boom
-		}
-		return nil
-	}
+	boom := h.crashAt(boundary{op: "activate", after: true}) // before fencing the old primary
 	if _, err := h.m.Failover("vm"); !errors.Is(err, boom) {
 		t.Fatalf("Failover = %v, want the injected crash", err)
 	}
@@ -478,11 +493,11 @@ func TestRestartAfterFailoverRecordWrittenNotWaited(t *testing.T) {
 
 			boom := errors.New("daemon killed with RecFailover written, RecReprotect not yet durable")
 			var beforeRecord int64
-			h.m.crashHook = func(p string) error {
-				switch p {
-				case "failover-activated":
+			h.m.crashHook = func(b boundary) error {
+				switch b {
+				case boundary{op: "write", kind: journal.RecFailover}:
 					beforeRecord = h.store.LogSize()
-				case "failover-journaled":
+				case boundary{op: "write", kind: journal.RecFailover, after: true}:
 					return boom
 				}
 				return nil
@@ -794,8 +809,8 @@ func TestSplitBrainGuardHoldsAfterRestart(t *testing.T) {
 
 // TestRestartChaos is the randomized crash-restart storm: seeded kill
 // points — between rounds, mid-checkpoint (the pair's link dies under
-// a transfer and the cycle rolls back) and mid-failover (at both crash
-// hooks) — after each of which the control plane rebuilds from the
+// a transfer and the cycle rolls back) and mid-failover (at any boundary
+// of tickFailover) — after each of which the control plane rebuilds from the
 // journal. Invariants: no protection is lost or forgotten, the fencing
 // generation strictly increases, plain kills resume every protection
 // by delta resync (never a re-seed), and each protection always has
@@ -867,14 +882,14 @@ func TestRestartChaos(t *testing.T) {
 			expectResumeAll = true
 		case 2:
 			// Kill mid-failover: the victim's primary dies and the daemon
-			// crashes at a random point of the failover it started.
-			point := "failover-intent"
-			if rng.Intn(2) == 1 {
-				point = "failover-activated"
-			}
-			boom := errors.New("chaos: daemon crashed at " + point)
-			h.m.crashHook = func(pt string) error {
-				if pt == point {
+			// crashes at a random boundary of the failover it started.
+			at := tickFailover[rng.Intn(len(tickFailover))]
+			boom := fmt.Errorf("chaos: daemon crashed %s", at)
+			began, dead := false, false
+			h.m.crashHook = func(b boundary) error {
+				began = began || b == tickFailover[0]
+				dead = dead || began && b == at
+				if dead {
 					return boom
 				}
 				return nil

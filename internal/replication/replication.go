@@ -693,7 +693,7 @@ func (r *Replicator) setState(s State) {
 
 // MarkFailedOver records that the replica was activated on the
 // secondary; further checkpoints and activations are refused. Called
-// by failover.Activate.
+// by failover.ActivateOpts.
 func (r *Replicator) MarkFailedOver() { r.setState(StateFailedOver) }
 
 // Tracer returns the tracer the replicator records into (nil when

@@ -200,7 +200,7 @@ func TestSeedConvergesWarmCopy(t *testing.T) {
 						if _, err := r.rep.RunCycle(); !errors.Is(err, replication.ErrNotSeeded) {
 							t.Fatalf("RunCycle before the seed: %v, want ErrNotSeeded", err)
 						}
-						if _, err := failover.Activate(r.rep, "replica", nil); err == nil || r.rep.Settled(0) {
+						if _, err := failover.ActivateOpts(r.rep, "replica", failover.Options{}); err == nil || r.rep.Settled(0) {
 							t.Fatal("an unseeded warm leg was activated, or reads as settled")
 						}
 
