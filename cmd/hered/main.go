@@ -123,7 +123,7 @@ func run(args []string) error {
 		hbInterval  = fs.Duration("hb-interval", 0, "heartbeat interval (0 = library default)")
 		hbTimeout   = fs.Duration("hb-timeout", 0, "heartbeat timeout (0 = library default)")
 		maxInflight = fs.Int("max-inflight", controlplane.DefaultMaxInflight, "max concurrently admitted mutating requests before 429")
-		reqTimeout  = fs.Duration("req-timeout", controlplane.DefaultRequestTimeout, "per-request handling timeout")
+		reqTimeout  = fs.Duration("req-timeout", controlplane.DefaultRequestTimeout, "handling timeout of every API route but the snapshot reads GET /v1/vms and GET /v1/vms/{name}; expiry answers 503")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		stateDir    = fs.String("state-dir", "", "control-plane state directory (write-ahead journal + snapshots); empty = in-memory only")
 		fleetGroups = fs.Int("fleet-groups", 1, "shard the fleet into this many placement groups, each with its own lock and pump (1 = single group)")

@@ -3,8 +3,10 @@
 // libvirt play for the paper's deployment (§7.7). The server owns the
 // manager, drives its virtual-clock pump from a real-time ticker, and
 // adds what serving requires: admission control on the expensive
-// protect path, request-scoped timeouts, typed error envelopes, and a
-// graceful shutdown that quiesces the pump before closing listeners.
+// protect path, request-scoped timeouts on every route that can wait
+// (all but the two lock-free snapshot reads, GET /v1/vms and GET
+// /v1/vms/{name}), typed error envelopes, and a graceful shutdown that
+// quiesces the pump before closing listeners.
 //
 // Built entirely on the standard library (net/http); the wire types in
 // this file are shared by the server and the Client herectl uses.

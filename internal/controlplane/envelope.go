@@ -67,16 +67,28 @@ func statusFor(err error) (int, string) {
 // status.
 func writeError(w http.ResponseWriter, err error) {
 	status, code := statusFor(err)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorBody{
+	// An envelope of two strings always marshals.
+	body, _ := json.Marshal(ErrorBody{
 		Error: ErrorDetail{Code: code, Message: err.Error()},
 	})
+	writeBody(w, status, append(body, '\n'))
 }
 
-// writeJSON renders v with the given status.
+// writeJSON renders v with the given status. v is marshalled before
+// anything is written, so a value JSON cannot carry (a NaN float)
+// answers 500 with the internal envelope, not an empty 2xx body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody answers a complete JSON body with one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }

@@ -67,7 +67,16 @@ func toRecoveryPolicyDTO(p recovery.Policy) RecoveryPolicyDTO {
 
 // toVMStatus converts an orchestrator protection snapshot.
 func toVMStatus(st orchestrator.Status) VMStatus {
-	out := VMStatus{
+	var out VMStatus
+	out.fill(&st)
+	return out
+}
+
+// fill sets v to st's conversion. It reuses v's slices and secondary
+// host, so a list can convert every row into one VMStatus.
+func (v *VMStatus) fill(st *orchestrator.Status) {
+	secondary, secondaries, legs := v.Secondary, v.Secondaries[:0], v.Legs[:0]
+	*v = VMStatus{
 		Name:       st.Name,
 		Generation: st.Generation,
 		Mode:       string(st.Mode),
@@ -77,6 +86,9 @@ func toVMStatus(st orchestrator.Status) VMStatus {
 		Budget:     st.Budget,
 		MaxPeriod:  st.MaxPeriod.Milliseconds(),
 		Primary:    toHostDTO(st.Primary),
+		Want:       st.Want,
+		Quorum:     st.Quorum,
+		Placement:  st.Placement,
 
 		Checkpoints: st.Totals.Checkpoints,
 		PagesSent:   st.Totals.PagesSent,
@@ -99,16 +111,18 @@ func toVMStatus(st orchestrator.Status) VMStatus {
 		},
 	}
 	if st.Secondary != nil {
-		dto := toHostDTO(*st.Secondary)
-		out.Secondary = &dto
+		if secondary == nil {
+			secondary = new(HostDTO)
+		}
+		*secondary = toHostDTO(*st.Secondary)
+		v.Secondary = secondary
 	}
 	for _, s := range st.Secondaries {
-		out.Secondaries = append(out.Secondaries, toHostDTO(s))
+		secondaries = append(secondaries, toHostDTO(s))
 	}
-	out.Want = st.Want
-	out.Quorum = st.Quorum
+	v.Secondaries = secondaries
 	for _, l := range st.Legs {
-		out.Legs = append(out.Legs, LegDTO{
+		legs = append(legs, LegDTO{
 			Index:        l.Index,
 			Host:         l.Host,
 			Product:      l.Product,
@@ -119,12 +133,11 @@ func toVMStatus(st orchestrator.Status) VMStatus {
 			DeadCause:    l.DeadCause,
 		})
 	}
-	out.Placement = st.Placement
+	v.Legs = legs
 	if st.RecoveryPolicy.Enabled() {
 		dto := toRecoveryPolicyDTO(st.RecoveryPolicy)
-		out.RecoveryPolicy = &dto
+		v.RecoveryPolicy = &dto
 	}
-	return out
 }
 
 // handleProtect serves POST /v1/vms: protect a VM from a spec.
@@ -171,17 +184,12 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toVMStatus(st))
+	writeVMStatus(w, http.StatusCreated, st)
 }
 
-// handleList serves GET /v1/vms.
+// handleList serves GET /v1/vms: the VMList of every protection.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	all := s.m.StatusAll()
-	out := VMList{VMs: make([]VMStatus, 0, len(all))}
-	for _, st := range all {
-		out.VMs = append(out.VMs, toVMStatus(st))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeVMList(w, s.m.StatusAll())
 }
 
 // handleStatus serves GET /v1/vms/{name}.
@@ -191,7 +199,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toVMStatus(st))
+	writeVMStatus(w, http.StatusOK, st)
 }
 
 // handleUnprotect serves DELETE /v1/vms/{name}.

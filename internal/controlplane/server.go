@@ -79,8 +79,10 @@ type Config struct {
 	// rounds (default 50 ms). Each round advances the fleet's virtual
 	// clock by whatever the protections' checkpoint cycles consume.
 	PumpInterval time.Duration
-	// RequestTimeout bounds every request's handling time (default
-	// 15 s); requests that exceed it receive 503.
+	// RequestTimeout bounds the handling time of every route but the
+	// two snapshot reads, GET /v1/vms and GET /v1/vms/{name}, which
+	// never wait on a lock (default 15 s); requests that exceed it
+	// receive 503 with the "timeout" envelope.
 	RequestTimeout time.Duration
 	// MaxInflightProtect bounds concurrently admitted mutating
 	// operations (protect, unprotect, forced failover); excess
@@ -179,34 +181,39 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // buildHandler assembles routing and the serving middleware. The
-// mutating endpoints go through admission control; everything is
-// bounded by the request timeout.
+// mutating endpoints go through admission control. Every route is
+// bounded by the request timeout except the two snapshot reads, GET
+// /v1/vms and GET /v1/vms/{name}: they read the RCU-published status
+// snapshot, take no lock a tick or a mutation holds, and so cannot wait
+// — the timeout's goroutine and body buffer would buy them nothing.
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/vms", s.admit(s.handleProtect))
+	bounded := func(pattern string, h http.HandlerFunc) {
+		// The handler body is buffered; a slow request gets 503 with
+		// a JSON envelope.
+		mux.Handle(pattern, http.TimeoutHandler(h, s.cfg.RequestTimeout,
+			`{"error":{"code":"timeout","message":"request timed out"}}`))
+	}
+	bounded("POST /v1/vms", s.admit(s.handleProtect))
 	mux.HandleFunc("GET /v1/vms", s.handleList)
 	mux.HandleFunc("GET /v1/vms/{name}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/vms/{name}", s.admit(s.handleUnprotect))
-	mux.HandleFunc("POST /v1/vms/{name}/failover", s.admit(s.handleFailover))
-	mux.HandleFunc("PATCH /v1/vms/{name}/period", s.handlePeriod)
-	mux.HandleFunc("PATCH /v1/vms/{name}/recovery", s.handleRecovery)
-	mux.HandleFunc("GET /v1/vms/{name}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/hosts", s.handleHosts)
-	mux.HandleFunc("GET /v1/placement", s.handlePlacement)
-	mux.HandleFunc("GET /v1/transport", s.handleTransport)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	bounded("DELETE /v1/vms/{name}", s.admit(s.handleUnprotect))
+	bounded("POST /v1/vms/{name}/failover", s.admit(s.handleFailover))
+	bounded("PATCH /v1/vms/{name}/period", s.handlePeriod)
+	bounded("PATCH /v1/vms/{name}/recovery", s.handleRecovery)
+	bounded("GET /v1/vms/{name}/trace", s.handleTrace)
+	bounded("GET /v1/events", s.handleEvents)
+	bounded("GET /v1/hosts", s.handleHosts)
+	bounded("GET /v1/placement", s.handlePlacement)
+	bounded("GET /v1/transport", s.handleTransport)
+	bounded("GET /v1/fleet", s.handleFleet)
+	bounded("GET /metrics", s.handleMetrics)
+	bounded("GET /healthz", s.handleHealthz)
+	bounded("GET /readyz", s.handleReadyz)
 
 	var h http.Handler = mux
 	h = s.red(h)
 	h = s.logged(h)
-	// Request-scoped timeout: the handler body is buffered, slow
-	// requests get 503 with a JSON envelope.
-	h = http.TimeoutHandler(h, s.cfg.RequestTimeout,
-		`{"error":{"code":"timeout","message":"request timed out"}}`)
 	return h
 }
 

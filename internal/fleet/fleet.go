@@ -228,13 +228,29 @@ func (s *Scheduler) Lookup(name string) (*orchestrator.Protection, error) {
 }
 
 // StatusAll merges every group's published snapshot, sorted by name.
-// Lock-free.
+// Lock-free. Each group's snapshot is already sorted, so a k-way merge
+// copies every row once instead of sorting the concatenation.
 func (s *Scheduler) StatusAll() []orchestrator.Status {
-	var out []orchestrator.Status
-	for _, g := range s.groups {
-		out = append(out, g.mgr.StatusAll()...)
+	if len(s.groups) == 1 {
+		return s.groups[0].mgr.StatusAll()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	parts := make([][]orchestrator.Status, len(s.groups))
+	n := 0
+	for i, g := range s.groups {
+		parts[i] = g.mgr.StatusAll()
+		n += len(parts[i])
+	}
+	out := make([]orchestrator.Status, n)
+	for i := range out {
+		next := -1
+		for j, p := range parts {
+			if len(p) > 0 && (next < 0 || p[0].Name < parts[next][0].Name) {
+				next = j
+			}
+		}
+		out[i] = parts[next][0]
+		parts[next] = parts[next][1:]
+	}
 	return out
 }
 

@@ -185,7 +185,8 @@ func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
 	if !ok {
 		return fmt.Errorf("orchestrator: vm %q: unexpected host type", p.Name)
 	}
-	spec := placement.Spec{Name: p.Name, Secondaries: p.want, Primary: primary.HostName()}
+	spec := placement.Spec{Name: p.Name, Secondaries: p.want, Primary: primary.HostName(),
+		Features: p.vm.MachineState().Features}
 	if warm != nil && warm.host != nil {
 		spec.Warm = warm.host.HostName()
 	}

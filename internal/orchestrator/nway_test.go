@@ -7,6 +7,7 @@ import (
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/memory"
 	"github.com/here-ft/here/internal/orchestrator"
+	"github.com/here-ft/here/internal/placement"
 	"github.com/here-ft/here/internal/qemukvm"
 	"github.com/here-ft/here/internal/vclock"
 	"github.com/here-ft/here/internal/xen"
@@ -327,5 +328,61 @@ func TestFailoverActivatesFreshestLegOfChain(t *testing.T) {
 	}
 	if err := m.Tick(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplanKeepsGuestFeatures: a guest booted on the CPU features of a
+// Xen → 2 × Cloud Hypervisor chain fails over to Cloud Hypervisor. The
+// re-plan must not pick a kvmtool host that lacks one of those features
+// — its seed could never resume the guest — and every later round must
+// run clean.
+func TestReplanKeepsGuestFeatures(t *testing.T) {
+	m, hosts, _ := fleet4(t, "xkcxkc")
+	p, err := m.Protect(nwaySpec("svc", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := secondaryNames(p); p.Primary().HostName() != "x0" || len(got) != 2 || got[0][0] != 'c' || got[1][0] != 'c' {
+		t.Fatalf("placed %s -> %v, want x0 -> two Cloud Hypervisor hosts", p.Primary().HostName(), got)
+	}
+	features := p.VM().MachineState().Features
+	if err := m.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	hosts[0].Fail(hypervisor.Crashed, "exploit")
+	if err := m.Tick(); err != nil {
+		t.Fatalf("failover tick: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.Tick(); err != nil {
+			t.Fatalf("tick %d after the failover: %v", i, err)
+		}
+	}
+	if p.Primary().HostName()[0] != 'c' || p.Generation != 1 {
+		t.Fatalf("failed over to %s (generation %d), want a Cloud Hypervisor leg", p.Primary().HostName(), p.Generation)
+	}
+	st, err := m.Status("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode != orchestrator.ModeProtected || len(st.Secondaries) == 0 {
+		t.Fatalf("after the failover: %s with %d legs, want protected", st.Mode, len(st.Secondaries))
+	}
+	for _, s := range st.Secondaries {
+		if s.Name[0] == 'k' {
+			t.Fatalf("re-planned onto %s, which lacks %v", s.Name, features)
+		}
+	}
+	rejected := 0
+	for _, r := range st.Placement.Rejections {
+		if r.Host[0] == 'k' && hosts[1].Features()&features != features {
+			if r.Reason != placement.RejectNoFeatures || r.Detail == "" {
+				t.Fatalf("%s rejected as %s (%q), want %s naming the missing features", r.Host, r.Reason, r.Detail, placement.RejectNoFeatures)
+			}
+			rejected++
+		}
+	}
+	if rejected != 2 {
+		t.Fatalf("rejections %+v: want both kvmtool hosts rejected for features", st.Placement.Rejections)
 	}
 }

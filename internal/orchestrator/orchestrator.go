@@ -1551,7 +1551,8 @@ func (m *Manager) topUpLegs(p *Protection) error {
 	if missing <= 0 {
 		return nil
 	}
-	spec := placement.Spec{Name: p.Name, Secondaries: missing, Primary: primary.HostName()}
+	spec := placement.Spec{Name: p.Name, Secondaries: missing, Primary: primary.HostName(),
+		Features: p.vm.MachineState().Features}
 	pool := make([]*hypervisor.Host, 0, len(m.hosts))
 	for _, h := range m.hosts {
 		if inChain[h.HostName()] {

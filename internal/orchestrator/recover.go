@@ -395,7 +395,9 @@ func (m *Manager) recoverRecreate(prot *Protection, jp *journal.Protection,
 	primary *hypervisor.Host, secondaries []*hypervisor.Host, rep *RecoverReport) error {
 	if len(secondaries) == 0 {
 		// Prefer the journaled partners, but any planner-approved chain
-		// will do for a rebuild.
+		// will do for a rebuild. No guest exists yet — it boots on the
+		// features of the chain this plan picks — so Spec.Features is
+		// left zero.
 		if asn, err := m.planner.PlanSecondaries(placement.Spec{
 			Name: prot.Name, Secondaries: prot.want, Primary: primary.HostName(),
 		}, primary, m.hosts); err == nil {

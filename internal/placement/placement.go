@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/here-ft/here/internal/arch"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/trace"
 	"github.com/here-ft/here/internal/vulns"
@@ -45,6 +46,11 @@ type Spec struct {
 	// like any candidate, it takes a slot only when its CVE overlap is no
 	// higher than the score's pick: it outranks load, never security.
 	Warm string
+	// Features optionally names the CPUID features the guest already
+	// runs with (re-planning keeps its guest): a secondary must expose
+	// each of them, or the guest could not resume there. Zero when no
+	// guest exists yet.
+	Features arch.FeatureSet
 }
 
 // RejectReason is a typed explanation for why a candidate host was not
@@ -64,7 +70,9 @@ const (
 	// running guest (Capabilities.LiveDirtyLog) — primary role only.
 	RejectNoDirtyLog RejectReason = "no-live-dirty-log"
 	// RejectNoFeatures: the CPUID feature intersection with the primary
-	// is empty; a guest could never resume here.
+	// is empty, or the host lacks a feature the guest booted with
+	// (Spec.Features; Detail lists the missing ones); the guest could
+	// never resume here.
 	RejectNoFeatures RejectReason = "no-feature-overlap"
 	// RejectHostFull: the host is at its VM capacity.
 	RejectHostFull RejectReason = "host-full"
@@ -280,6 +288,8 @@ func (e *Engine) planSecondaries(spec Spec, primary *hypervisor.Host, hosts []*h
 			reject(RejectNoRestore, 0, "")
 		case h.Features().Intersect(primary.Features()) == 0:
 			reject(RejectNoFeatures, 0, "")
+		case !spec.Features.IsSubsetOf(h.Features()):
+			reject(RejectNoFeatures, 0, "missing "+(spec.Features&^h.Features()).String())
 		case e.cfg.MaxVMs > 0 && h.VMCount() >= e.cfg.MaxVMs:
 			reject(RejectHostFull, 0, fmt.Sprintf("%d/%d vms", h.VMCount(), e.cfg.MaxVMs))
 		case flavor == primaryFlavor:
