@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench-api bench-api-smoke bench bench-fleet bench-recovery bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench-api bench-api-smoke bench-tick bench-tick-smoke bench bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke bench-reprotect-smoke bench-api-smoke
+check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke bench-reprotect-smoke bench-api-smoke bench-tick-smoke bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -81,42 +81,38 @@ bench-reprotect-smoke:
 
 # Per-layer benchmarks of the two fleet reads: GET /v1/vms and GET
 # /v1/vms/{name} through Handler().ServeHTTP (routing, RED, encoding)
-# on 192 settled 1 MiB protections in 4 placement groups, simnet links,
-# ns/op, B/op and allocs/op. bench-api-smoke runs each once, in
-# `make check` and CI.
+# on 192 and on 10 000 settled 1 MiB protections in 4 placement groups,
+# simnet links, ns/op, B/op and allocs/op. bench-api-smoke runs each
+# once, in `make check` and CI.
 bench-api:
 	$(GO) test -run '^$$' -bench 'ServeList|ServeStatus' -benchmem ./internal/controlplane
 
 bench-api-smoke:
 	$(GO) test -run '^$$' -bench 'ServeList|ServeStatus' -benchmem -benchtime=1x ./internal/controlplane
 
-# Reduced-scale wire-codec and trace benchmarks; refreshes the
-# checked-in BENCH_wire.json and BENCH_trace.json baselines. The wire
-# file reproduces byte for byte; a diff there is a codec or pause-model
-# change.
+# Per-layer benchmark of the orchestration round: one Scheduler.Tick
+# over 192 and over 10 000 settled idle protections in 4 placement
+# groups, simnet links, no journal, ns/op, B/op and allocs/op.
+# bench-tick-smoke runs each once, in `make check` and CI.
+bench-tick:
+	$(GO) test -run '^$$' -bench '^BenchmarkTick$$' -benchmem ./internal/fleet
+
+bench-tick-smoke:
+	$(GO) test -run '^$$' -bench '^BenchmarkTick$$' -benchmem -benchtime=1x ./internal/fleet
+
+# Rewrites the committed BENCH_wire.json, BENCH_trace.json and
+# BENCH_recovery.json from a quick-scale run. Every row is virtual
+# (bytes, frames, events, virtual-clock time), so the files reproduce
+# byte for byte on any machine: a diff is a change in what the code
+# does, never noise.
 bench:
-	$(GO) run ./cmd/here-bench -quick -only wire,trace
+	$(GO) run ./cmd/here-bench -quick -only wire,trace,recovery
 
-# Full-scale fleet scaling sweep (100 → 10k protections); refreshes
-# the checked-in BENCH_fleet.json baseline. Full scale on purpose: the
-# committed evidence must cover the 10k point.
-bench-fleet:
-	$(GO) run ./cmd/here-bench -only fleet
-
-# In-place microreboot vs fenced failover on the same seeded incident;
-# refreshes the checked-in BENCH_recovery.json baseline.
-bench-recovery:
-	$(GO) run ./cmd/here-bench -only recovery
-
-# Regression gate: fresh quick bench vs the committed baselines; fails
-# (non-zero exit) when a wire row — deterministic: bytes, frame mix,
-# virtual-clock pauses — differs at all from BENCH_wire.json, when trace
-# ns/event, fleet tick ns/protection, fleet status-read latency,
-# recovery latency or recovery pages-resent regresses beyond the
-# tolerance — or when in-place recovery stops beating failover
-# outright. Never rewrites the baselines.
+# Regression gate: reruns those benches at the quick scale and fails
+# (non-zero exit) unless each file equals its fresh run byte for byte,
+# naming the file and its first differing line. Never rewrites them.
 bench-gate:
-	$(GO) run ./cmd/here-bench -quick -gate
+	$(GO) run ./cmd/here-bench -gate
 
 # Non-test Go lines outside bench/ — the figure CHANGES.md entries
 # quote, counted one way.

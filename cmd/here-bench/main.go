@@ -6,10 +6,14 @@
 //	here-bench                   # full scale, everything
 //	here-bench -quick            # reduced scale, everything
 //	here-bench -only fig6,fig8   # selected artifacts
+//	here-bench -gate             # hold the committed BENCH_*.json files
+//
+// The wire, trace and recovery benches hold only virtual rows; a -quick
+// run writes them to the committed BENCH_*.json files, which -gate
+// regenerates in memory and compares byte for byte.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -31,24 +35,19 @@ func main() {
 
 func run() error {
 	var (
-		quick     = flag.Bool("quick", false, "reduced-scale run")
-		only      = flag.String("only", "", "comma-separated artifact list (table1,table2,table5,fig5..fig17,sec87,tenants,colo,adaptive,ablation,wire,trace,fleet,recovery)")
-		csvDir    = flag.String("csv", "", "directory to write fig9/fig10 trace CSVs into")
-		wireJSON  = flag.String("wirejson", "BENCH_wire.json", "path for the wire artifact's machine-readable output (empty = don't write)")
-		traceJSON = flag.String("tracejson", "BENCH_trace.json", "path for the trace artifact's machine-readable output (empty = don't write)")
-		fleetJSON = flag.String("fleetjson", "BENCH_fleet.json", "path for the fleet artifact's machine-readable output (empty = don't write)")
-		recJSON   = flag.String("recoveryjson", "BENCH_recovery.json", "path for the recovery artifact's machine-readable output (empty = don't write)")
-		gate      = flag.Bool("gate", false, "regression gate: run a fresh wire+trace+fleet+recovery bench, compare against the committed baselines, exit non-zero on regression (never overwrites the baselines)")
-		gateTol   = flag.Float64("gate-tol", 0.25, "gate tolerance as a fraction (0.25 = fresh may be up to 25% worse than baseline); wire rows are deterministic and must match exactly regardless")
+		quick  = flag.Bool("quick", false, "reduced-scale run; writes the wire, trace and recovery rows to the committed BENCH_*.json files")
+		only   = flag.String("only", "", "comma-separated artifact list (table1,table2,table5,fig5..fig17,sec87,tenants,colo,adaptive,ablation,wire,trace,recovery)")
+		csvDir = flag.String("csv", "", "directory to write fig9/fig10 trace CSVs into")
+		gate   = flag.Bool("gate", false, "regression gate: rerun the wire, trace and recovery benches at the quick scale and exit non-zero unless each equals its committed BENCH_*.json byte for byte (never writes them)")
 	)
 	flag.Parse()
 
+	if *gate {
+		return runGate()
+	}
 	scale := experiments.FullScale()
 	if *quick {
 		scale = experiments.QuickScale()
-	}
-	if *gate {
-		return runGate(scale, *wireJSON, *traceJSON, *fleetJSON, *recJSON, *gateTol)
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -228,38 +227,6 @@ func run() error {
 			fmt.Println(experiments.RenderAdaptive(rows))
 			return nil
 		}},
-		{"wire", func() error {
-			rows, err := experiments.WireBench(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderWireBench(rows))
-			return writeWireJSON(*wireJSON, rows)
-		}},
-		{"trace", func() error {
-			res, err := experiments.TraceBench(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderTraceBench(res))
-			return writeTraceJSON(*traceJSON, res)
-		}},
-		{"fleet", func() error {
-			rows, err := experiments.FleetBench(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderFleetBench(rows))
-			return writeFleetJSON(*fleetJSON, rows)
-		}},
-		{"recovery", func() error {
-			rows, err := experiments.RecoveryBench(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderRecoveryBench(rows))
-			return writeRecoveryJSON(*recJSON, rows)
-		}},
 		{"ablation", func() error {
 			threads, err := experiments.ThreadAblation(scale, nil)
 			if err != nil {
@@ -284,6 +251,29 @@ func run() error {
 			return nil
 		}},
 	}
+	for _, f := range experiments.BenchFiles() {
+		artifacts = append(artifacts, artifact{f.Key, func() error {
+			rows, table, err := f.Run(scale)
+			if err != nil {
+				return err
+			}
+			fmt.Println(table)
+			if !*quick {
+				// The committed files are quick-scale rows: the gate
+				// holds them to a quick run's bytes.
+				return nil
+			}
+			data, err := experiments.BenchJSON(rows)
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(f.Name, data, 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("[wrote %s]\n", f.Name)
+			return nil
+		}})
+	}
 
 	for _, a := range artifacts {
 		if !selected(a.key) {
@@ -298,143 +288,35 @@ func run() error {
 	return nil
 }
 
-// runGate is the bench regression gate: run a fresh
-// wire+trace+fleet+recovery bench at the given scale, load the
-// committed baselines, and fail (non-zero exit) if the fresh figures
-// of merit regressed beyond the tolerance — or, for the deterministic
-// wire rows, moved at all. The committed baseline files are never
-// overwritten.
-func runGate(scale experiments.Scale, wirePath, tracePath, fleetPath, recPath string, tol float64) error {
-	baseWire, err := experiments.LoadWireBaseline(wirePath)
-	if err != nil {
-		return fmt.Errorf("gate: wire baseline: %w", err)
-	}
-	baseTrace, err := experiments.LoadTraceBaseline(tracePath)
-	if err != nil {
-		return fmt.Errorf("gate: trace baseline: %w", err)
-	}
-	baseFleet, err := experiments.LoadFleetBaseline(fleetPath)
-	if err != nil {
-		return fmt.Errorf("gate: fleet baseline: %w", err)
-	}
-	baseRec, err := experiments.LoadRecoveryBaseline(recPath)
-	if err != nil {
-		return fmt.Errorf("gate: recovery baseline: %w", err)
-	}
-
-	fmt.Println("gate: fresh wire bench (exact)...")
-	rows, err := experiments.WireBench(scale)
-	if err != nil {
-		return fmt.Errorf("gate: wire bench: %w", err)
-	}
-	fmt.Println("gate: fresh trace bench...")
-	res, err := experiments.TraceBench(scale)
-	if err != nil {
-		return fmt.Errorf("gate: trace bench: %w", err)
-	}
-	fmt.Println("gate: fresh fleet bench...")
-	fleetRows, err := experiments.FleetBench(scale)
-	if err != nil {
-		return fmt.Errorf("gate: fleet bench: %w", err)
-	}
-	fmt.Println("gate: fresh recovery bench...")
-	recRows, err := experiments.RecoveryBench(scale)
-	if err != nil {
-		return fmt.Errorf("gate: recovery bench: %w", err)
-	}
-
-	g := experiments.GateWire(baseWire, experiments.WireRowsJSON(rows))
-	gt := experiments.GateTrace(baseTrace, experiments.TraceResultJSON(res), tol, 3.0)
-	g.Checks = append(g.Checks, gt.Checks...)
-	g.Failures = append(g.Failures, gt.Failures...)
-	gf := experiments.GateFleet(baseFleet, experiments.FleetRowsJSON(fleetRows), tol)
-	g.Checks = append(g.Checks, gf.Checks...)
-	g.Failures = append(g.Failures, gf.Failures...)
-	gr := experiments.GateRecovery(baseRec, experiments.RecoveryRowsJSON(recRows), tol)
-	g.Checks = append(g.Checks, gr.Checks...)
-	g.Failures = append(g.Failures, gr.Failures...)
-
-	for _, c := range g.Checks {
-		fmt.Println("  " + c)
-	}
-	if !g.OK() {
-		for _, f := range g.Failures {
-			fmt.Fprintln(os.Stderr, "gate FAIL: "+f)
+// runGate is the bench regression gate: it reruns every committed
+// bench at the quick scale, encodes its rows as a -quick run writes
+// them, and fails unless each equals its committed file byte for byte.
+// It never writes the files.
+func runGate() error {
+	files, failed := experiments.BenchFiles(), 0
+	for _, f := range files {
+		rows, _, err := f.Run(experiments.QuickScale())
+		if err != nil {
+			return fmt.Errorf("gate: %s bench: %w", f.Key, err)
 		}
-		return fmt.Errorf("bench gate failed: %d regression(s)", len(g.Failures))
+		fresh, err := experiments.BenchJSON(rows)
+		if err != nil {
+			return err
+		}
+		committed, err := os.ReadFile(f.Name)
+		if err != nil {
+			return fmt.Errorf("gate: %w", err)
+		}
+		if err := experiments.GateDiff(f.Name, committed, fresh); err != nil {
+			fmt.Fprintln(os.Stderr, "gate FAIL: "+err.Error())
+			failed++
+			continue
+		}
+		fmt.Printf("gate: %s equals a fresh run\n", f.Name)
 	}
-	fmt.Printf("gate PASS: %d checks\n", len(g.Checks))
-	return nil
-}
-
-// writeWireJSON stores the wire-codec rows machine-readably: raw vs
-// encoded bytes, the frame mix and virtual-clock pause percentiles per
-// workload × codec mode.
-func writeWireJSON(path string, rows []experiments.WireBenchRow) error {
-	if path == "" {
-		return nil
+	if failed > 0 {
+		return fmt.Errorf("bench gate failed: %d of %d files differ", failed, len(files))
 	}
-	data, err := json.MarshalIndent(experiments.WireRowsJSON(rows), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[wrote %s]\n", path)
-	return nil
-}
-
-// writeTraceJSON stores the tracing-overhead measurement machine-
-// readably: per-event recording cost, traced vs untraced wall-clock,
-// the overhead percentage, and the span-accounting check.
-func writeTraceJSON(path string, res experiments.TraceBenchResult) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(experiments.TraceResultJSON(res), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[wrote %s]\n", path)
-	return nil
-}
-
-// writeFleetJSON stores the fleet scaling sweep machine-readably:
-// tick and API read latency percentiles per protection count.
-func writeFleetJSON(path string, rows []experiments.FleetBenchRow) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(experiments.FleetRowsJSON(rows), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[wrote %s]\n", path)
-	return nil
-}
-
-// writeRecoveryJSON stores the in-place versus failover incident
-// comparison machine-readably: recovery latency, epochs rolled back,
-// pages re-shipped, and the recovery counters per strategy.
-func writeRecoveryJSON(path string, rows []experiments.RecoveryBenchRow) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(experiments.RecoveryRowsJSON(rows), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[wrote %s]\n", path)
 	return nil
 }
 

@@ -81,32 +81,46 @@ func serve(b *testing.B, h http.Handler, w *discard, req *http.Request) {
 	}
 }
 
-// BenchmarkServeList is GET /v1/vms through Handler().ServeHTTP on 192
-// protections: the published snapshots' merge, the encoding and RED.
+// benchSizes are the fleet sizes the read benchmarks run at: the
+// tcp-fleet workload's 192 protections, and the 10k fleet a sharded
+// daemon is built to carry.
+var benchSizes = []int{192, 10000}
+
+// BenchmarkServeList is GET /v1/vms through Handler().ServeHTTP: the
+// published snapshots' merge, the encoding and RED. body-B is the
+// response's size, which grows with the fleet.
 func BenchmarkServeList(b *testing.B) {
-	b.Run("192", func(b *testing.B) {
-		srv, _ := benchServer(b, 192)
-		h, w := srv.Handler(), &discard{h: http.Header{}}
-		req, _ := http.NewRequest("GET", "/v1/vms", nil)
-		b.ReportAllocs()
-		for b.Loop() {
-			serve(b, h, w, req)
-		}
-		b.ReportMetric(float64(w.bytes), "body-B")
-	})
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			srv, _ := benchServer(b, n)
+			h, w := srv.Handler(), &discard{h: http.Header{}}
+			req, _ := http.NewRequest("GET", "/v1/vms", nil)
+			b.ReportAllocs()
+			for b.Loop() {
+				serve(b, h, w, req)
+			}
+			b.ReportMetric(float64(w.bytes), "body-B")
+		})
+	}
 }
 
 // BenchmarkServeStatus is GET /v1/vms/{name} through
-// Handler().ServeHTTP, cycling over the same 192 protections.
+// Handler().ServeHTTP, cycling over every protection of the fleet: a
+// lookup in the published snapshot, which must stay near-flat in the
+// fleet's size.
 func BenchmarkServeStatus(b *testing.B) {
-	srv, names := benchServer(b, 192)
-	h, w := srv.Handler(), &discard{h: http.Header{}}
-	reqs := make([]*http.Request, len(names))
-	for i, name := range names {
-		reqs[i], _ = http.NewRequest("GET", "/v1/vms/"+name, nil)
-	}
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		serve(b, h, w, reqs[i%len(reqs)])
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			srv, names := benchServer(b, n)
+			h, w := srv.Handler(), &discard{h: http.Header{}}
+			reqs := make([]*http.Request, len(names))
+			for i, name := range names {
+				reqs[i], _ = http.NewRequest("GET", "/v1/vms/"+name, nil)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				serve(b, h, w, reqs[i%len(reqs)])
+			}
+		})
 	}
 }

@@ -45,13 +45,6 @@ type Scale struct {
 	DynTmax  time.Duration
 	DynSigma time.Duration
 	DynStart time.Duration
-	// FleetProtections is the fleet-bench protection-count sweep; each
-	// point measures scheduler tick latency and control-plane read
-	// latency at that fleet size.
-	FleetProtections []int
-	// FleetTickRounds is how many measured rounds each fleet-bench
-	// point runs.
-	FleetTickRounds int
 	// Seed fixes all workload randomness.
 	Seed int64
 }
@@ -59,38 +52,34 @@ type Scale struct {
 // FullScale approximates the paper's experiment sizes.
 func FullScale() Scale {
 	return Scale{
-		MemoryGB:         []int{1, 2, 4, 8, 16, 20},
-		LoadPercents:     []float64{10, 20, 40, 60, 80},
-		LoadedGB:         8,
-		RunSeconds:       60,
-		TraceSeconds:     180,
-		YCSBRecords:      200_000,
-		WriteRatePages:   600_000,
-		DynTmax:          25 * time.Second,
-		DynSigma:         time.Second,
-		DynStart:         4 * time.Second,
-		FleetProtections: []int{100, 300, 1000, 3000, 10000},
-		FleetTickRounds:  30,
-		Seed:             42,
+		MemoryGB:       []int{1, 2, 4, 8, 16, 20},
+		LoadPercents:   []float64{10, 20, 40, 60, 80},
+		LoadedGB:       8,
+		RunSeconds:     60,
+		TraceSeconds:   180,
+		YCSBRecords:    200_000,
+		WriteRatePages: 600_000,
+		DynTmax:        25 * time.Second,
+		DynSigma:       time.Second,
+		DynStart:       4 * time.Second,
+		Seed:           42,
 	}
 }
 
 // QuickScale shrinks everything for fast runs (tests, -short benches).
 func QuickScale() Scale {
 	return Scale{
-		MemoryGB:         []int{1, 2, 4},
-		LoadPercents:     []float64{20, 60},
-		LoadedGB:         2,
-		RunSeconds:       25,
-		TraceSeconds:     90,
-		YCSBRecords:      20_000,
-		WriteRatePages:   800_000,
-		DynTmax:          4 * time.Second,
-		DynSigma:         250 * time.Millisecond,
-		DynStart:         2 * time.Second,
-		FleetProtections: []int{100, 300, 1000},
-		FleetTickRounds:  10,
-		Seed:             42,
+		MemoryGB:       []int{1, 2, 4},
+		LoadPercents:   []float64{20, 60},
+		LoadedGB:       2,
+		RunSeconds:     25,
+		TraceSeconds:   90,
+		YCSBRecords:    20_000,
+		WriteRatePages: 800_000,
+		DynTmax:        4 * time.Second,
+		DynSigma:       250 * time.Millisecond,
+		DynStart:       2 * time.Second,
+		Seed:           42,
 	}
 }
 
@@ -160,5 +149,9 @@ func (p *Pair) ProtectedVM(name string, memBytes uint64, vcpus int) (*hypervisor
 func GB(n int) uint64 { return uint64(n) << 30 }
 
 func secs(n int) time.Duration { return time.Duration(n) * time.Second }
+
+// millis renders a virtual duration in milliseconds at microsecond
+// resolution: the unit of every *_ms column of a BENCH_*.json file.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -63,32 +63,33 @@ func recoveryBenchLink() simnet.LinkConfig {
 
 // RecoveryBenchRow is one strategy's measured incident: the simulated
 // time and replication work it took to get the guest from "primary
-// hypervisor down" back to fully protected.
+// hypervisor down" back to fully protected. It is one row of the
+// committed BENCH_recovery.json.
 type RecoveryBenchRow struct {
 	// Strategy is "in-place" (microreboot ladder enabled) or
 	// "failover" (ladder disabled — the paper's baseline).
-	Strategy string
-	// RecoverySim is the simulated time from fault injection until the
-	// protection is back in mode "protected".
-	RecoverySim time.Duration
+	Strategy string `json:"strategy"`
+	// RecoveryMS is the simulated time, in milliseconds, from fault
+	// injection until the protection is back in mode "protected".
+	RecoveryMS float64 `json:"recovery_ms"`
 	// Ticks is the orchestration rounds that took.
-	Ticks int
+	Ticks int `json:"ticks"`
 	// EpochsRolledBack is the checkpoint epochs the guest lost: zero
 	// when the primary's state survived (in-place), the gap back to
 	// the replica's acked epoch when it did not (failover).
-	EpochsRolledBack uint64
+	EpochsRolledBack uint64 `json:"epochs_rolled_back"`
 	// PagesResent is every page shipped between fault and restored
 	// protection: the delta resync for in-place, the full re-seed for
 	// failover (plus ordinary checkpoints either way).
-	PagesResent int64
+	PagesResent int64 `json:"pages_resent"`
 	// Attempts / InPlace / Escalations are the here_recovery_* counter
 	// readings after the incident.
-	Attempts    int64
-	InPlace     int64
-	Escalations int64
+	Attempts    int64 `json:"attempts"`
+	InPlace     int64 `json:"inplace"`
+	Escalations int64 `json:"escalations"`
 	// Generation is the fencing generation after recovery: unchanged
 	// by in-place recovery, bumped by failover.
-	Generation int
+	Generation int `json:"generation"`
 }
 
 // RecoveryBench runs the same seeded transient-hypervisor-hang
@@ -250,7 +251,7 @@ func runRecoveryBench(scale Scale, inPlace bool) (RecoveryBenchRow, error) {
 		return row, fmt.Errorf("guest data lost across recovery: %q", got)
 	}
 
-	row.RecoverySim = clk.Now().Sub(faultAt)
+	row.RecoveryMS = millis(clk.Now().Sub(faultAt))
 	if before.Epoch > firstEpoch {
 		row.EpochsRolledBack = before.Epoch - firstEpoch
 	}
@@ -267,8 +268,7 @@ func RenderRecoveryBench(rows []RecoveryBenchRow) *metrics.Table {
 		"Strategy", "Recovery(ms)", "Ticks", "EpochsLost", "PagesResent",
 		"Attempts", "InPlace", "Escalated", "Generation")
 	for _, r := range rows {
-		tab.AddRow(r.Strategy,
-			float64(r.RecoverySim.Microseconds())/1e3,
+		tab.AddRow(r.Strategy, r.RecoveryMS,
 			r.Ticks, r.EpochsRolledBack, r.PagesResent,
 			r.Attempts, r.InPlace, r.Escalations, r.Generation)
 	}

@@ -14,23 +14,26 @@ import (
 // WireBenchRow is one wire-codec measurement: a workload replicated
 // with the codec in raw or content-aware mode, reporting what the link
 // actually carried during steady-state checkpoints (seeding excluded).
-// Every column is deterministic — bytes, frames and virtual-clock
-// pauses; what the encoder costs in host wall time is bench/'s
+// It is one row of the committed BENCH_wire.json. Every column is
+// deterministic — bytes, frames and virtual-clock pauses; what the
+// encoder costs in host wall time is bench/'s
 // wire.encode_*_ns_per_page.
 type WireBenchRow struct {
-	Workload     string
-	ContentAware bool
-	Checkpoints  int64
-	RawBytes     int64
-	EncodedBytes int64
+	Workload     string `json:"workload"`
+	Codec        string `json:"codec"` // "raw" or "content-aware"
+	Checkpoints  int64  `json:"checkpoints"`
+	RawBytes     int64  `json:"raw_bytes"`
+	EncodedBytes int64  `json:"encoded_bytes"`
 	// Ratio is measured EncodedBytes/RawBytes — the number that
 	// replaced the old flat CompressionRatio constant.
-	Ratio       float64
-	ZeroPages   int64
-	DeltaFrames int64
-	RawFrames   int64
-	PauseP50    time.Duration // modeled (virtual-clock) pause
-	PauseP99    time.Duration
+	Ratio       float64 `json:"ratio"`
+	ZeroPages   int64   `json:"zero_pages"`
+	DeltaFrames int64   `json:"delta_frames"`
+	RawFrames   int64   `json:"raw_frames"`
+	// PauseP50ms and PauseP99ms are the modeled (virtual-clock) pause
+	// percentiles in milliseconds, at microsecond resolution.
+	PauseP50ms float64 `json:"pause_p50_ms"`
+	PauseP99ms float64 `json:"pause_p99_ms"`
 }
 
 // WireBench measures the checkpoint wire codec across workloads and
@@ -111,9 +114,13 @@ func runWireBench(scale Scale, name string, aware bool,
 		DeltaFrames:  total.Wire.DeltaFrames - seeded.DeltaFrames,
 		RawFrames:    total.Wire.RawFrames - seeded.RawFrames,
 	}
+	codec := "raw"
+	if aware {
+		codec = "content-aware"
+	}
 	return WireBenchRow{
 		Workload:     name,
-		ContentAware: aware,
+		Codec:        codec,
 		Checkpoints:  int64(total.Checkpoints),
 		RawBytes:     ckpt.RawBytes,
 		EncodedBytes: ckpt.EncodedBytes,
@@ -121,8 +128,8 @@ func runWireBench(scale Scale, name string, aware bool,
 		ZeroPages:    ckpt.ZeroPages,
 		DeltaFrames:  ckpt.DeltaFrames,
 		RawFrames:    ckpt.RawFrames,
-		PauseP50:     time.Duration(pauses.Percentile(50) * float64(time.Second)),
-		PauseP99:     time.Duration(pauses.Percentile(99) * float64(time.Second)),
+		PauseP50ms:   millis(time.Duration(pauses.Percentile(50) * float64(time.Second))),
+		PauseP99ms:   millis(time.Duration(pauses.Percentile(99) * float64(time.Second))),
 	}, nil
 }
 
@@ -132,15 +139,10 @@ func RenderWireBench(rows []WireBenchRow) *metrics.Table {
 		"Workload", "Codec", "Raw(MB)", "Wire(MB)", "Ratio",
 		"ZeroPg", "Delta", "RawFr", "PauseP50(ms)", "PauseP99(ms)")
 	for _, r := range rows {
-		mode := "raw"
-		if r.ContentAware {
-			mode = "content"
-		}
-		tab.AddRow(r.Workload, mode,
+		tab.AddRow(r.Workload, r.Codec,
 			float64(r.RawBytes)/(1<<20), float64(r.EncodedBytes)/(1<<20),
 			r.Ratio, r.ZeroPages, r.DeltaFrames, r.RawFrames,
-			float64(r.PauseP50.Microseconds())/1e3,
-			float64(r.PauseP99.Microseconds())/1e3)
+			r.PauseP50ms, r.PauseP99ms)
 	}
 	return tab
 }

@@ -227,8 +227,9 @@ func (s *Summary) merge() {
 	s.pending = s.pending[:0]
 }
 
-// Percentile reports the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank interpolation, or 0 with no observations. Values added
+// Percentile reports the p-th percentile (0 ≤ p ≤ 100), interpolated
+// linearly between the two closest ranks at p/100 × (n−1) of the sorted
+// observations, or 0 with no observations. Values added
 // since the last call are merged in first (see Summary's cost note);
 // with nothing pending the call is a pure read.
 func (s *Summary) Percentile(p float64) float64 {

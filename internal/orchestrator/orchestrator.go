@@ -499,6 +499,9 @@ func New(cfg Config) (*Manager, error) {
 	if err := cfg.Recovery.Validate(); err != nil {
 		return nil, err
 	}
+	if err := (period.Config{D: cfg.DegradationBudget}).Validate(); err != nil {
+		return nil, fmt.Errorf("orchestrator: degradation budget: %w", err)
+	}
 	guard := cfg.Guard
 	if guard == nil {
 		guard = failover.NewGuard(0)

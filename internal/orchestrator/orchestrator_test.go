@@ -2,6 +2,7 @@ package orchestrator_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -55,6 +56,11 @@ func spec(name string) orchestrator.VMSpec {
 func TestNewValidation(t *testing.T) {
 	if _, err := orchestrator.New(orchestrator.Config{}); err == nil {
 		t.Fatal("nil clock accepted")
+	}
+	for _, d := range []float64{-0.1, 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := orchestrator.New(orchestrator.Config{Clock: vclock.NewSim(), DegradationBudget: d}); err == nil {
+			t.Fatalf("degradation budget %v accepted", d)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.D < 0 || c.D >= 1 {
+	if !(c.D >= 0 && c.D < 1) { // NaN compares false both ways
 		return fmt.Errorf("%w: D = %v, want [0, 1)", ErrBadConfig, c.D)
 	}
 	if c.Tmax < 0 {

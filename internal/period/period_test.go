@@ -18,6 +18,9 @@ func TestConfigValidate(t *testing.T) {
 		{"unbounded", Config{D: 0.3}, false},
 		{"negative D", Config{D: -0.1, Tmax: time.Second}, true},
 		{"D = 1", Config{D: 1, Tmax: time.Second}, true},
+		{"NaN D", Config{D: math.NaN(), Tmax: time.Second}, true},
+		{"+Inf D", Config{D: math.Inf(1)}, true},
+		{"-Inf D", Config{D: math.Inf(-1)}, true},
 		{"negative Tmax", Config{D: 0.3, Tmax: -1}, true},
 		{"negative Sigma", Config{D: 0.3, Sigma: -1}, true},
 		{"Sigma > Tmax", Config{D: 0.3, Tmax: time.Second, Sigma: 2 * time.Second}, true},

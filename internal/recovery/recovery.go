@@ -78,7 +78,7 @@ func (p Policy) Validate() error {
 	if p.Backoff < 0 {
 		return fmt.Errorf("recovery policy: negative backoff %v", p.Backoff)
 	}
-	if p.Jitter < 0 || p.Jitter > 1 {
+	if !(p.Jitter >= 0 && p.Jitter <= 1) { // NaN compares false both ways
 		return fmt.Errorf("recovery policy: jitter %v outside [0,1]", p.Jitter)
 	}
 	return nil

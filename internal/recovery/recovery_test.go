@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -49,6 +50,9 @@ func TestPolicyValidate(t *testing.T) {
 		{Backoff: -time.Millisecond},
 		{Jitter: -0.1},
 		{Jitter: 1.5},
+		{Jitter: math.NaN()},
+		{Jitter: math.Inf(1)},
+		{Jitter: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
