@@ -273,7 +273,7 @@ func (c *Cluster) CreateProtectedVM(spec VMSpec) (*VM, error) {
 		Name:     spec.Name,
 		MemBytes: spec.MemoryBytes,
 		VCPUs:    spec.VCPUs,
-		Features: translate.CompatibleFeatures(c.primary, c.secondary),
+		Features: translate.CompatibleFeaturesAll(c.primary, c.secondary),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: spec.MAC},
 			{Class: arch.DeviceConsole, ID: "con0"},
@@ -369,7 +369,6 @@ func (c *Cluster) Protect(vm *VM, opts ProtectOptions) (*Protected, error) {
 	}
 	cfg := replication.Config{
 		Engine:       engine,
-		Transport:    c.link,
 		Threads:      opts.Threads,
 		Workload:     opts.Workload,
 		Sink:         opts.Sink,
@@ -398,7 +397,7 @@ func (c *Cluster) Protect(vm *VM, opts ProtectOptions) (*Protected, error) {
 		}
 		cfg.PeriodManager = pm
 	}
-	rep, err := replication.New(vm, c.secondary, cfg)
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: c.secondary, Transport: c.link}}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("here: %w", err)
 	}

@@ -84,18 +84,6 @@ func (s FeatureSet) Has(f Feature) bool { return s&FeatureSet(f) != 0 }
 // compatibility mask HERE applies before replication starts.
 func (s FeatureSet) Intersect(o FeatureSet) FeatureSet { return s & o }
 
-// Union returns the features present in either set.
-func (s FeatureSet) Union(o FeatureSet) FeatureSet { return s | o }
-
-// Count reports the number of features in the set.
-func (s FeatureSet) Count() int {
-	n := 0
-	for v := uint64(s); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
-
 // IsSubsetOf reports whether every feature of s is also in o.
 func (s FeatureSet) IsSubsetOf(o FeatureSet) bool { return s&^o == 0 }
 

@@ -11,9 +11,6 @@ func TestFeatureSetBasics(t *testing.T) {
 	if !s.Has(FeatureSSE2) || s.Has(FeatureAVX2) {
 		t.Fatal("Has gives wrong answers")
 	}
-	if s.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", s.Count())
-	}
 }
 
 func TestFeatureSetIntersect(t *testing.T) {
@@ -38,8 +35,7 @@ func TestFeatureSetIntersectProperties(t *testing.T) {
 		i := sa.Intersect(sb)
 		return i == sb.Intersect(sa) &&
 			i.Intersect(sa) == i &&
-			i.IsSubsetOf(sa) && i.IsSubsetOf(sb) &&
-			sa.IsSubsetOf(sa.Union(sb))
+			i.IsSubsetOf(sa) && i.IsSubsetOf(sb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

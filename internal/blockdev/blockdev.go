@@ -48,9 +48,6 @@ func NewDisk(capacityBytes uint64) *Disk {
 	}
 }
 
-// Sectors reports the disk capacity in sectors.
-func (d *Disk) Sectors() uint64 { return d.n }
-
 // WriteSector stores one sector.
 func (d *Disk) WriteSector(sector uint64, data []byte) error {
 	if sector >= d.n {

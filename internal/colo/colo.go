@@ -110,10 +110,6 @@ func New(vm *hypervisor.VM, dst hypervisor.Hypervisor, cfg Config) (*Replicator,
 	}, nil
 }
 
-// DivergenceProbability reports the comparator's per-packet mismatch
-// probability for this pair.
-func (r *Replicator) DivergenceProbability() float64 { return r.divergeP }
-
 // RunFor executes lock-stepped replication for d of simulated time.
 // Time advances packet by packet: agreeing outputs release instantly;
 // a divergence pauses both replicas for a synchronization checkpoint

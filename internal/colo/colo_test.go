@@ -40,7 +40,7 @@ func newRig(t *testing.T, heterogeneous bool) *rig {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "vm", MemBytes: 4096 * memory.PageSize, VCPUs: 2,
-		Features: translate.CompatibleFeatures(xh, dst),
+		Features: translate.CompatibleFeaturesAll(xh, dst),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,25 +65,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := colo.New(r.vm, r.dst, colo.Config{Link: r.link}); err == nil {
 		t.Fatal("zero output rate accepted")
-	}
-}
-
-func TestDivergenceDependsOnDeviceModels(t *testing.T) {
-	homo := newRig(t, false)
-	rep, err := colo.New(homo.vm, homo.dst, colo.Config{Link: homo.link, OutputRate: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DivergenceProbability() != colo.HomogeneousDivergence {
-		t.Fatalf("homogeneous divergence = %v", rep.DivergenceProbability())
-	}
-	hetero := newRig(t, true)
-	rep, err = colo.New(hetero.vm, hetero.dst, colo.Config{Link: hetero.link, OutputRate: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DivergenceProbability() != colo.HeterogeneousDivergence {
-		t.Fatalf("heterogeneous divergence = %v", rep.DivergenceProbability())
 	}
 }
 

@@ -151,9 +151,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Manager returns the fleet the server drives.
-func (s *Server) Manager() Orchestrator { return s.m }
-
 // Handler returns the fully wrapped HTTP handler (routing, admission,
 // timeouts) — what httptest servers should mount.
 func (s *Server) Handler() http.Handler { return s.handler }

@@ -46,12 +46,11 @@ func ThreadAblation(scale Scale, threadCounts []int) ([]ThreadAblationRow, error
 		if err != nil {
 			return nil, err
 		}
-		rep, err := replication.New(vm, pair.Secondary, replication.Config{
-			Engine:    replication.EngineHERE,
-			Transport: pair.Link,
-			Threads:   threads,
-			Period:    4 * time.Second,
-			Workload:  w,
+		rep, err := newReplicator(vm, pair, replication.Config{
+			Engine:   replication.EngineHERE,
+			Threads:  threads,
+			Period:   4 * time.Second,
+			Workload: w,
 		})
 		if err != nil {
 			return nil, err
@@ -122,8 +121,8 @@ func StreamShareAblation(scale Scale, shares []float64) ([]StreamShareRow, error
 			if err != nil {
 				return 0, err
 			}
-			rep, err := replication.New(vm, pair.Secondary, replication.Config{
-				Engine: engine, Transport: pair.Link, Period: 4 * time.Second, Workload: w,
+			rep, err := newReplicator(vm, pair, replication.Config{
+				Engine: engine, Period: 4 * time.Second, Workload: w,
 			})
 			if err != nil {
 				return 0, err
@@ -282,9 +281,8 @@ func CompressionAblation(scale Scale) ([]CompressionRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := replication.New(vm, pair.Secondary, replication.Config{
+			rep, err := newReplicator(vm, pair, replication.Config{
 				Engine:      replication.EngineHERE,
-				Transport:   pair.Link,
 				Period:      4 * time.Second,
 				Workload:    w,
 				Compression: compress,

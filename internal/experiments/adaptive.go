@@ -84,7 +84,6 @@ func runAdaptive(scenario, name string,
 	collector := sockperf.NewCollector()
 	cfg := replication.Config{
 		Engine:        replication.EngineHERE,
-		Transport:     pair.Link,
 		Period:        fixed,
 		PeriodManager: policy,
 		Sink:          collector.Sink,

@@ -87,9 +87,8 @@ func COLOComparison(scale Scale) ([]COLORow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
+	rep, err := newReplicator(vm, pair, replication.Config{
 		Engine:        replication.EngineHERE,
-		Transport:     pair.Link,
 		PeriodManager: pm,
 		Workload:      w,
 	})

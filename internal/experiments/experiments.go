@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/here-ft/here/internal/arch"
@@ -137,7 +136,7 @@ func (p *Pair) ProtectedVM(name string, memBytes uint64, vcpus int) (*hypervisor
 		Name:     name,
 		MemBytes: memBytes,
 		VCPUs:    vcpus,
-		Features: translate.CompatibleFeatures(p.Primary, p.Secondary),
+		Features: translate.CompatibleFeaturesAll(p.Primary, p.Secondary),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:01"},
 			{Class: arch.DeviceBlock, ID: "disk0", CapacityB: 64 << 30},
@@ -153,5 +152,3 @@ func secs(n int) time.Duration { return time.Duration(n) * time.Second }
 // millis renders a virtual duration in milliseconds at microsecond
 // resolution: the unit of every *_ms column of a BENCH_*.json file.
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

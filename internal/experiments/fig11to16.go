@@ -95,7 +95,7 @@ func runReplicated(setup ReplicationSetup, scale Scale, memGB int,
 		return res, nil
 	}
 
-	cfg, err := replicationConfig(setup, pair)
+	cfg, err := replicationConfig(setup)
 	if err != nil {
 		return res, err
 	}
@@ -134,13 +134,10 @@ func startFor(setup ReplicationSetup) time.Duration {
 }
 
 // replicationConfig builds the replication configuration for one
-// Table 6 setup (engine, link, and period policy; the workload is set
-// by the caller).
-func replicationConfig(setup ReplicationSetup, pair *Pair) (replication.Config, error) {
-	cfg := replication.Config{
-		Engine:    setup.Engine,
-		Transport: pair.Link,
-	}
+// Table 6 setup (engine and period policy; the workload is set by the
+// caller).
+func replicationConfig(setup ReplicationSetup) (replication.Config, error) {
+	cfg := replication.Config{Engine: setup.Engine}
 	if setup.FixedT > 0 {
 		cfg.Period = setup.FixedT
 		return cfg, nil
@@ -159,19 +156,10 @@ func replicationConfig(setup ReplicationSetup, pair *Pair) (replication.Config, 
 	return cfg, nil
 }
 
-// replicationConfigFixed builds a fixed-period HERE configuration.
-func replicationConfigFixed(pair *Pair, T time.Duration, w workload.Workload) replication.Config {
-	return replication.Config{
-		Engine:    replication.EngineHERE,
-		Transport: pair.Link,
-		Period:    T,
-		Workload:  w,
-	}
-}
-
-// newReplicator builds a replicator for the pair's secondary host.
+// newReplicator builds a replicator onto the pair's secondary host
+// over the pair's link.
 func newReplicator(vm *hypervisor.VM, pair *Pair, cfg replication.Config) (*replication.Replicator, error) {
-	return replication.New(vm, pair.Secondary, cfg)
+	return replication.NewChain(vm, []replication.Secondary{{Host: pair.Secondary, Transport: pair.Link}}, cfg)
 }
 
 // vmHandle is the VM type passed to workload factories.

@@ -68,7 +68,7 @@ func runSockperf(load sockperf.Load, setup ReplicationSetup, scale Scale) (Fig17
 		return row, err
 	}
 	collector := sockperf.NewCollector()
-	cfg, err := replicationConfig(setup, pair)
+	cfg, err := replicationConfig(setup)
 	if err != nil {
 		return row, err
 	}
@@ -137,7 +137,9 @@ func Sec87(scale Scale) (Sec87Result, error) {
 	if err != nil {
 		return res, err
 	}
-	rep, err := newReplicator(vm, pair, replicationConfigFixed(pair, time.Second, w))
+	rep, err := newReplicator(vm, pair, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second, Workload: w,
+	})
 	if err != nil {
 		return res, err
 	}

@@ -55,10 +55,9 @@ func Fig5(scale Scale) (Fig5Result, error) {
 	if err != nil {
 		return res, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
-		Engine:    replication.EngineHERE,
-		Transport: pair.Link,
-		Period:    time.Second,
+	rep, err := newReplicator(vm, pair, replication.Config{
+		Engine: replication.EngineHERE,
+		Period: time.Second,
 	})
 	if err != nil {
 		return res, err
@@ -206,7 +205,7 @@ func Fig7(scale Scale) ([]Fig7Row, error) {
 			return 0, err
 		}
 		cfg := replication.Config{
-			Engine: replication.EngineHERE, Transport: pair.Link, Period: time.Second,
+			Engine: replication.EngineHERE, Period: time.Second,
 		}
 		if loaded {
 			w, err := workload.NewMemoryBench(30, scale.WriteRatePages, scale.Seed)
@@ -215,7 +214,7 @@ func Fig7(scale Scale) ([]Fig7Row, error) {
 			}
 			cfg.Workload = w
 		}
-		rep, err := replication.New(vm, pair.Secondary, cfg)
+		rep, err := newReplicator(vm, pair, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -297,7 +296,7 @@ func Fig8(scale Scale) (Fig8Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		cfg := replication.Config{Engine: engine, Transport: pair.Link, Period: T}
+		cfg := replication.Config{Engine: engine, Period: T}
 		if loaded {
 			w, err := workload.NewMemoryBench(30, scale.WriteRatePages, scale.Seed)
 			if err != nil {
@@ -305,7 +304,7 @@ func Fig8(scale Scale) (Fig8Result, error) {
 			}
 			cfg.Workload = w
 		}
-		rep, err := replication.New(vm, pair.Secondary, cfg)
+		rep, err := newReplicator(vm, pair, cfg)
 		if err != nil {
 			return 0, err
 		}

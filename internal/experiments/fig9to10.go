@@ -55,9 +55,8 @@ func Fig9(scale Scale) (TraceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
+	rep, err := newReplicator(vm, pair, replication.Config{
 		Engine:        replication.EngineHERE,
-		Transport:     pair.Link,
 		PeriodManager: pm,
 		Workload:      bench,
 	})
@@ -130,9 +129,8 @@ func Fig10(scale Scale) (TraceResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
+	rep, err := newReplicator(vm, pair, replication.Config{
 		Engine:        replication.EngineHERE,
-		Transport:     pair.Link,
 		PeriodManager: pm,
 		Workload:      w,
 	})

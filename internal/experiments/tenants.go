@@ -56,11 +56,10 @@ func TenantScaling(scale Scale, densities []int) (TenantCapacity, error) {
 	if err != nil {
 		return cap, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
-		Engine:    replication.EngineHERE,
-		Transport: pair.Link,
-		Period:    4 * time.Second,
-		Workload:  w,
+	rep, err := newReplicator(vm, pair, replication.Config{
+		Engine:   replication.EngineHERE,
+		Period:   4 * time.Second,
+		Workload: w,
 	})
 	if err != nil {
 		return cap, err

@@ -47,12 +47,11 @@ func TraceBench(scale Scale) (TraceBenchResult, error) {
 		return res, err
 	}
 	tr := trace.New(pair.Clock, 0)
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
-		Engine:    replication.EngineHERE,
-		Transport: pair.Link,
-		Period:    time.Second,
-		Workload:  w,
-		Tracer:    tr,
+	rep, err := newReplicator(vm, pair, replication.Config{
+		Engine:   replication.EngineHERE,
+		Period:   time.Second,
+		Workload: w,
+		Tracer:   tr,
 	})
 	if err != nil {
 		return res, err

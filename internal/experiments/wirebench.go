@@ -84,9 +84,8 @@ func runWireBench(scale Scale, name string, aware bool,
 	if err != nil {
 		return row, err
 	}
-	rep, err := replication.New(vm, pair.Secondary, replication.Config{
+	rep, err := newReplicator(vm, pair, replication.Config{
 		Engine:      replication.EngineHERE,
-		Transport:   pair.Link,
 		Period:      time.Second,
 		Workload:    w,
 		Compression: aware,

@@ -170,13 +170,8 @@ type Monitor struct {
 	missedC  *trace.Counter
 }
 
-// NewMonitor returns a heartbeat monitor for the primary host.
-// Zero interval/timeout use the defaults.
-func NewMonitor(primary hypervisor.Hypervisor, interval, timeout time.Duration) (*Monitor, error) {
-	return NewMonitorConfig(primary, Config{Interval: interval, Timeout: timeout})
-}
-
-// NewMonitorConfig returns a heartbeat monitor with the full policy.
+// NewMonitorConfig returns a heartbeat monitor for the primary host
+// under cfg; its zero fields use the defaults.
 func NewMonitorConfig(primary hypervisor.Hypervisor, cfg Config) (*Monitor, error) {
 	if primary == nil {
 		return nil, errors.New("failover: nil primary")

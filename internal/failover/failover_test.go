@@ -41,7 +41,7 @@ func newRig(t *testing.T, memBytes uint64) *rig {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "protected", MemBytes: memBytes, VCPUs: 2,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:01"},
 			{Class: arch.DeviceBlock, ID: "disk0", CapacityB: 4 << 30},
@@ -54,8 +54,8 @@ func newRig(t *testing.T, memBytes uint64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replication.New(vm, kh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: kh, Transport: link}}, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,20 +65,20 @@ func newRig(t *testing.T, memBytes uint64) *rig {
 
 func TestMonitorValidation(t *testing.T) {
 	r := newRig(t, 1<<22)
-	if _, err := failover.NewMonitor(nil, 0, 0); err == nil {
+	if _, err := failover.NewMonitorConfig(nil, failover.Config{}); err == nil {
 		t.Fatal("nil primary accepted")
 	}
-	if _, err := failover.NewMonitor(r.xh, -1, 0); err == nil {
+	if _, err := failover.NewMonitorConfig(r.xh, failover.Config{Interval: -1}); err == nil {
 		t.Fatal("negative interval accepted")
 	}
-	if _, err := failover.NewMonitor(r.xh, 0, -1); err == nil {
+	if _, err := failover.NewMonitorConfig(r.xh, failover.Config{Timeout: -1}); err == nil {
 		t.Fatal("negative timeout accepted")
 	}
 }
 
 func TestMonitorHealthyTimesOut(t *testing.T) {
 	r := newRig(t, 1<<22)
-	m, err := failover.NewMonitor(r.xh, 100*time.Millisecond, 300*time.Millisecond)
+	m, err := failover.NewMonitorConfig(r.xh, failover.Config{Interval: 100 * time.Millisecond, Timeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMonitorDetectsAllFailureModes(t *testing.T) {
 	} {
 		t.Run(state.String(), func(t *testing.T) {
 			r := newRig(t, 1<<22)
-			m, err := failover.NewMonitor(r.xh, 100*time.Millisecond, 300*time.Millisecond)
+			m, err := failover.NewMonitorConfig(r.xh, failover.Config{Interval: 100 * time.Millisecond, Timeout: 300 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestEndToEndWorkloadSurvivesFailover(t *testing.T) {
 	checkpointHash := r.vm.Memory().Hash()
 
 	r.xh.Fail(hypervisor.Hung, "resource exhaustion exploit")
-	m, err := failover.NewMonitor(r.xh, 0, 0)
+	m, err := failover.NewMonitorConfig(r.xh, failover.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,8 @@ func TestFailbackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := replication.New(res1.VM, r.xh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link2, Period: time.Second,
+	rep2, err := replication.NewChain(res1.VM, []replication.Secondary{{Host: r.xh, Transport: link2}}, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestDiskCrashConsistencyAcrossFailover(t *testing.T) {
 
 func TestMonitorMissDerivation(t *testing.T) {
 	r := newRig(t, 1<<22)
-	m, err := failover.NewMonitor(r.xh, 100*time.Millisecond, 300*time.Millisecond)
+	m, err := failover.NewMonitorConfig(r.xh, failover.Config{Interval: 100 * time.Millisecond, Timeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestLinkDeathTriggersDetectionButGuardRefuses(t *testing.T) {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "vm", MemBytes: 1 << 22, VCPUs: 2,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -491,8 +491,8 @@ func TestLinkDeathTriggersDetectionButGuardRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replication.New(vm, kh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: kh, Transport: link}}, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +572,7 @@ func TestFailoverRacesMidFlightCheckpoint(t *testing.T) {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "vm", MemBytes: 512 * memory.PageSize, VCPUs: 2,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:03"},
 		},
@@ -584,8 +584,8 @@ func TestFailoverRacesMidFlightCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replication.New(vm, kh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: kh, Transport: link}}, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 		Retry: replication.RetryPolicy{MaxAttempts: 1},
 	})
 	if err != nil {

@@ -38,8 +38,7 @@ type Proxy struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	accepted atomic.Int64
-	cuts     atomic.Int64
+	cuts atomic.Int64
 }
 
 // NewProxy listens on listenAddr (e.g. "127.0.0.1:0") and forwards
@@ -82,17 +81,8 @@ func (p *Proxy) CutConnections() {
 	p.mu.Unlock()
 }
 
-// Connections reports the number of live proxied connections.
-func (p *Proxy) Connections() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
-// Accepted reports the total connections accepted (including refused
-// ones); Cuts reports connections cut by CutAfter budgets.
-func (p *Proxy) Accepted() int64 { return p.accepted.Load() }
-func (p *Proxy) Cuts() int64     { return p.cuts.Load() }
+// Cuts reports connections cut by CutAfter budgets.
+func (p *Proxy) Cuts() int64 { return p.cuts.Load() }
 
 // Close stops the listener and drops every connection.
 func (p *Proxy) Close() error {
@@ -116,7 +106,6 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		p.accepted.Add(1)
 		if p.refuse.Load() {
 			conn.Close()
 			continue

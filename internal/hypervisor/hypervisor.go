@@ -393,17 +393,3 @@ func (v *VM) MachineState() arch.MachineState {
 	defer v.mu.Unlock()
 	return v.state.Clone()
 }
-
-// SetVCPURegs updates one vCPU's register file (guest execution
-// progress is modeled by workloads advancing RIP and friends).
-func (v *VM) SetVCPURegs(vcpu int, regs arch.Registers) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i := range v.state.VCPUs {
-		if v.state.VCPUs[i].ID == vcpu {
-			v.state.VCPUs[i].Regs = regs
-			return nil
-		}
-	}
-	return fmt.Errorf("vm %q: no vcpu %d", v.name, vcpu)
-}

@@ -328,25 +328,6 @@ func TestRestoreVMRejectsNilMemory(t *testing.T) {
 	}
 }
 
-func TestSetVCPURegs(t *testing.T) {
-	h, _ := newXen(t)
-	vm, err := h.CreateVM(basicCfg("vm1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := arch.Registers{RIP: 0xdeadbeef, RAX: 7}
-	if err := vm.SetVCPURegs(1, regs); err != nil {
-		t.Fatal(err)
-	}
-	st := vm.MachineState()
-	if st.VCPUs[1].Regs.RIP != 0xdeadbeef || st.VCPUs[1].Regs.RAX != 7 {
-		t.Fatal("register update lost")
-	}
-	if err := vm.SetVCPURegs(9, regs); err == nil {
-		t.Fatal("SetVCPURegs accepted missing vcpu")
-	}
-}
-
 func TestHealthStateString(t *testing.T) {
 	cases := map[hypervisor.HealthState]string{
 		hypervisor.Healthy: "healthy",

@@ -14,10 +14,11 @@ import (
 // far fewer physical fsyncs than appends, with nothing lost.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, Options{GroupCommit: true, FlushWindow: 2 * time.Millisecond})
+	s, _, err := Open(dir, Options{GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.window = 2 * time.Millisecond
 	const writers = 32
 	const perWriter = 4
 	var wg sync.WaitGroup
@@ -85,10 +86,11 @@ func TestGroupCommitCrashMidBatch(t *testing.T) {
 	dir := t.TempDir()
 	// NoSync + GroupCommit: frames land back-to-back with no covering
 	// sync, the exact on-disk layout of a batch cut down mid-flush.
-	s, _, err := Open(dir, Options{GroupCommit: true, NoSync: true, CompactBytes: -1})
+	s, _, err := Open(dir, Options{GroupCommit: true, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.compactAt = 0
 	const records = 12
 	for i := 0; i < records; i++ {
 		rec := Record{Kind: RecRetune, VM: fmt.Sprintf("vm-%d", i%3), Budget: 0.5, MaxPeriodMS: int64(100 + i)}
@@ -139,10 +141,11 @@ func TestGroupCommitCrashMidBatch(t *testing.T) {
 // TestGroupCommitSoloAppend: a lone appender must still commit (the
 // leader path with nobody to batch with) and must really fsync.
 func TestGroupCommitSoloAppend(t *testing.T) {
-	s, _, err := Open(t.TempDir(), Options{GroupCommit: true, FlushWindow: -1})
+	s, _, err := Open(t.TempDir(), Options{GroupCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.window = 0
 	defer s.Close()
 	if err := s.Append(Record{Kind: RecRetune, VM: "solo", Budget: 0.3, MaxPeriodMS: 500}); err != nil {
 		t.Fatal(err)

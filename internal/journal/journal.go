@@ -56,9 +56,9 @@ const frameHeader = 8
 // are tiny, so a larger length field is corruption, not data.
 const maxFrameBytes = 4 << 20
 
-// DefaultCompactBytes is the log size past which Append compacts the
-// store into a fresh snapshot and rotates the log.
-const DefaultCompactBytes = 1 << 20
+// compactBytes is the log size past which Append compacts the store
+// into a fresh snapshot and rotates the log.
+const compactBytes = 1 << 20
 
 // Errors reported by the store. CorruptError wraps ErrCorrupt with the
 // file, offset and reason, so callers can errors.Is against the
@@ -420,9 +420,6 @@ func (s *State) apply(r Record) {
 type Options struct {
 	// NoSync skips the per-append fsync (tests; NOT crash-safe).
 	NoSync bool
-	// CompactBytes is the log size that triggers snapshot + rotation
-	// (default 1 MiB, negative disables auto-compaction).
-	CompactBytes int64
 	// GroupCommit batches concurrent appenders behind one fsync: each
 	// Append writes its frame under the store lock, then waits for a
 	// flush leader to sync the log up to (at least) its LSN. N
@@ -430,11 +427,6 @@ type Options struct {
 	// sharded fleet scheduler turns so per-group pump goroutines don't
 	// serialize on the disk.
 	GroupCommit bool
-	// FlushWindow is how long a group-commit flush leader waits before
-	// syncing, letting concurrent appenders join the batch (default
-	// DefaultFlushWindow; negative = sync immediately). It bounds the
-	// extra commit latency an append can pay for batching.
-	FlushWindow time.Duration
 }
 
 // Report describes what Open found on disk.
@@ -464,6 +456,12 @@ type snapshotDoc struct {
 type Store struct {
 	dir  string
 	opts Options
+	// compactAt and window are compactBytes and flushWindow, fields only
+	// so that the package's tests can change them after Open: a
+	// non-positive compactAt never compacts, a non-positive window
+	// syncs at once.
+	compactAt int64
+	window    time.Duration
 
 	mu      sync.Mutex
 	wal     *os.File
@@ -489,18 +487,14 @@ type Store struct {
 // truncated away. Mid-log corruption fails with a *CorruptError
 // (errors.Is ErrCorrupt) — nothing is silently dropped.
 func Open(dir string, opts Options) (*Store, Report, error) {
-	if opts.CompactBytes == 0 {
-		opts.CompactBytes = DefaultCompactBytes
-	}
-	if opts.GroupCommit && opts.FlushWindow == 0 {
-		opts.FlushWindow = DefaultFlushWindow
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Report{}, fmt.Errorf("journal: %w", err)
 	}
 	s := &Store{
-		dir:  dir,
-		opts: opts,
+		dir:       dir,
+		opts:      opts,
+		compactAt: compactBytes,
+		window:    flushWindow,
 		state: State{
 			Protections: make(map[string]*Protection),
 		},
@@ -673,9 +667,6 @@ func (s *Store) openWAL() error {
 	return nil
 }
 
-// Dir reports the state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // State returns a deep copy of the current journaled state.
 func (s *Store) State() State {
 	s.mu.Lock()
@@ -741,7 +732,7 @@ func (s *Store) append(rec Record, wait bool) error {
 	}
 	s.walSize += int64(len(frame))
 	s.state.apply(rec)
-	if s.opts.CompactBytes > 0 && s.walSize > s.opts.CompactBytes {
+	if s.compactAt > 0 && s.walSize > s.compactAt {
 		// The snapshot write below is itself synced, so the rotation
 		// leaves every appended record durable — group-commit waiters
 		// included (compactLocked raises the durable watermark).

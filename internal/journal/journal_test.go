@@ -128,12 +128,14 @@ func TestTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut points: mid-payload of the last frame, mid-header, and one
-	// byte past the first frame.
-	for _, cut := range []int{len(full) - 3, len(full) - 40, len(full) - 1} {
-		if cut <= len(walMagic) {
-			continue
-		}
+	// Cut the second frame one byte into its header, mid-header, at a
+	// whole header with no payload, mid-payload and one byte short.
+	second := len(walMagic) + frameHeader + int(binary.LittleEndian.Uint32(full[len(walMagic):]))
+	payload := len(full) - second - frameHeader
+	if payload < 2 {
+		t.Fatalf("second frame payload is %d bytes: too short to cut inside", payload)
+	}
+	for _, cut := range []int{second + 1, second + 4, second + frameHeader, second + frameHeader + payload/2, len(full) - 1} {
 		dir2 := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir2, walName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -223,7 +225,8 @@ func TestImpossibleFrameLength(t *testing.T) {
 // replay skips snapshot-covered LSNs, and that state survives.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{CompactBytes: 512})
+	s, _ := openT(t, dir, Options{})
+	s.compactAt = 512
 	for i := 0; i < 50; i++ {
 		appendT(t, s, Record{Kind: RecAck, VM: "svc", Epoch: uint64(i)})
 	}
@@ -359,9 +362,10 @@ func TestStateCloneIsolation(t *testing.T) {
 // Append's wait — plain or group commit — or a Sync makes both durable
 // with one, and a restart replays both.
 func TestAppendNoWaitIsCoveredByTheNextWait(t *testing.T) {
-	for _, opts := range []Options{{}, {GroupCommit: true, FlushWindow: -1}} {
+	for _, opts := range []Options{{}, {GroupCommit: true}} {
 		dir := t.TempDir()
 		s, _ := openT(t, dir, opts)
+		s.window = 0
 		appendT(t, s, Record{Kind: RecProtect, VM: "svc", Primary: "xen0", Secondary: "kvm0"})
 		appendT(t, s, Record{Kind: RecFenceIntent, VM: "svc", Generation: 1, Target: "kvm0", Fence: 1})
 		base, size := s.Fsyncs(), s.LogSize()

@@ -246,14 +246,5 @@ func (s *Store) Len() (uint64, error) {
 	return s.readU64(s.base + 24)
 }
 
-// BytesUsed reports the log bytes consumed so far.
-func (s *Store) BytesUsed() (uint64, error) {
-	bump, err := s.readU64(s.base + 16)
-	if err != nil {
-		return 0, err
-	}
-	return bump - s.logStart() + headerBytes + s.buckets*bucketBytes, nil
-}
-
 // Region reports the store's location in guest memory.
 func (s *Store) Region() (base memory.Addr, size uint64) { return s.base, s.size }

@@ -346,9 +346,6 @@ func NewDirtyBitmap(numPages PageNum) *DirtyBitmap {
 	}
 }
 
-// NumPages reports the number of pages this bitmap covers.
-func (b *DirtyBitmap) NumPages() PageNum { return b.n }
-
 // Set marks page n dirty. Out-of-range pages are ignored.
 func (b *DirtyBitmap) Set(n PageNum) {
 	if n >= b.n {
@@ -458,9 +455,6 @@ func NewPMLRing(vcpu, capacity int) *PMLRing {
 	return &PMLRing{vcpu: vcpu, buf: make([]PageNum, 0, capacity)}
 }
 
-// VCPU reports the vCPU this ring belongs to.
-func (r *PMLRing) VCPU() int { return r.vcpu }
-
 // Push logs a dirtied page. On a full ring it records the overflow
 // condition and returns ErrRingOverflow; the entry is dropped.
 func (r *PMLRing) Push(n PageNum) error {
@@ -541,8 +535,3 @@ const RegionPages = 2 * 1024 * 1024 / PageSize
 
 // RegionOf reports the 2 MiB region index containing page n.
 func RegionOf(n PageNum) int { return int(n / RegionPages) }
-
-// NumRegions reports how many 2 MiB regions cover numPages pages.
-func NumRegions(numPages PageNum) int {
-	return int((numPages + RegionPages - 1) / RegionPages)
-}

@@ -20,11 +20,10 @@ import (
 // from which availability statistics are derived. It is safe for
 // concurrent use.
 type Timeline struct {
-	mu          sync.Mutex
-	current     string
-	since       time.Time
-	totals      map[string]time.Duration
-	transitions int
+	mu      sync.Mutex
+	current string
+	since   time.Time
+	totals  map[string]time.Duration
 }
 
 // NewTimeline returns a timeline in the given initial state.
@@ -34,20 +33,6 @@ func NewTimeline(start time.Time, initial string) *Timeline {
 		since:   start,
 		totals:  make(map[string]time.Duration),
 	}
-}
-
-// Current reports the present state.
-func (t *Timeline) Current() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.current
-}
-
-// Transitions reports how many state changes were recorded.
-func (t *Timeline) Transitions() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.transitions
 }
 
 // Transition moves the timeline into state at now, closing the open
@@ -66,19 +51,6 @@ func (t *Timeline) Transition(now time.Time, state string) {
 	}
 	t.current = state
 	t.since = now
-	t.transitions++
-}
-
-// Time reports the cumulative duration spent in state, including the
-// open interval up to now.
-func (t *Timeline) Time(now time.Time, state string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.totals[state]
-	if state == t.current && !now.Before(t.since) {
-		d += now.Sub(t.since)
-	}
-	return d
 }
 
 // Totals reports the cumulative duration per state, including the open
@@ -140,61 +112,6 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.Sum() / float64(s.N())
-}
-
-// Min reports the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 {
-	if s.N() == 0 {
-		return 0
-	}
-	var m float64
-	set := false
-	if len(s.sorted) > 0 {
-		m, set = s.sorted[0], true
-	}
-	for _, v := range s.pending {
-		if !set || v < m {
-			m, set = v, true
-		}
-	}
-	return m
-}
-
-// Max reports the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 {
-	if s.N() == 0 {
-		return 0
-	}
-	var m float64
-	set := false
-	if len(s.sorted) > 0 {
-		m, set = s.sorted[len(s.sorted)-1], true
-	}
-	for _, v := range s.pending {
-		if !set || v > m {
-			m, set = v, true
-		}
-	}
-	return m
-}
-
-// Stddev reports the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	n := s.N()
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var acc float64
-	for _, v := range s.sorted {
-		d := v - mean
-		acc += d * d
-	}
-	for _, v := range s.pending {
-		d := v - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
 }
 
 // merge folds the pending tail into the sorted prefix: sort the k new
@@ -370,9 +287,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func formatFloat(v float64) string {
 	switch {
 	case v == math.Trunc(v) && math.Abs(v) < 1e9:
@@ -421,19 +335,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// WriteCSV writes the series as "seconds,value" rows with a header.
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "t_seconds,%s\n", s.Name); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%.3f,%g\n", p.T.Seconds(), p.V); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteCSVMulti writes several series sharing a time axis as one CSV:

@@ -10,8 +10,7 @@ import (
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 ||
-		s.Stddev() != 0 || s.Percentile(50) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty summary must report zeros everywhere")
 	}
 }
@@ -27,9 +26,6 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Fatalf("Mean = %v, want 3", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v, want 1/5", s.Min(), s.Max())
-	}
 	if got := s.Percentile(50); got != 3 {
 		t.Fatalf("p50 = %v, want 3", got)
 	}
@@ -38,10 +34,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 	if got := s.Percentile(100); got != 5 {
 		t.Fatalf("p100 = %v, want 5", got)
-	}
-	want := math.Sqrt(2)
-	if got := s.Stddev(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Stddev = %v, want %v", got, want)
 	}
 }
 
@@ -62,15 +54,17 @@ func TestSummaryPercentileInterpolates(t *testing.T) {
 	}
 }
 
-// Property: Min ≤ Percentile(p) ≤ Max and Percentile is monotone in p.
+// Property: min ≤ Percentile(p) ≤ max and Percentile is monotone in p.
 func TestSummaryPercentileProperties(t *testing.T) {
 	f := func(raw []float64, pa, pb uint8) bool {
 		var s Summary
+		minV, maxV := math.Inf(1), math.Inf(-1)
 		for _, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0
 			}
 			s.Add(v)
+			minV, maxV = math.Min(minV, v), math.Max(maxV, v)
 		}
 		if s.N() == 0 {
 			return true
@@ -81,7 +75,7 @@ func TestSummaryPercentileProperties(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		vlo, vhi := s.Percentile(lo), s.Percentile(hi)
-		return vlo <= vhi && s.Min() <= vlo && vhi <= s.Max()
+		return vlo <= vhi && minV <= vlo && vhi <= maxV
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -187,9 +181,6 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tab.NumRows())
-	}
 }
 
 func TestTableFormatsDurations(t *testing.T) {
@@ -197,20 +188,6 @@ func TestTableFormatsDurations(t *testing.T) {
 	tab.AddRow("pause", 250*time.Millisecond)
 	if !strings.Contains(tab.String(), "250ms") {
 		t.Fatalf("duration not formatted: %s", tab.String())
-	}
-}
-
-func TestSeriesWriteCSV(t *testing.T) {
-	s := NewSeries("period")
-	s.Record(0, 25)
-	s.Record(1500*time.Millisecond, 20.5)
-	var buf strings.Builder
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "t_seconds,period\n0.000,25\n1.500,20.5\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -238,7 +215,7 @@ func TestWriteCSVMulti(t *testing.T) {
 
 // TestTimelineZeroDurationTransition is the boundary-semantics
 // regression test: a state entered and left at the same instant must
-// still appear in Totals (with zero duration), and Time/Totals must
+// still appear in Totals (with zero duration), and Totals must
 // include a zero-length open interval — the !now.Before(since) rule.
 func TestTimelineZeroDurationTransition(t *testing.T) {
 	t0 := time.Unix(1000, 0)
@@ -257,17 +234,6 @@ func TestTimelineZeroDurationTransition(t *testing.T) {
 	}
 	if totals["protected"] != time.Second {
 		t.Fatalf("protected = %v, want 1s", totals["protected"])
-	}
-	if got := tl.Time(t1, "resyncing"); got != 0 {
-		t.Fatalf("Time(resyncing) = %v, want 0", got)
-	}
-	// The open interval observed at its own start instant counts as
-	// present with zero duration, not absent.
-	if got := tl.Time(t1, "protected"); got != time.Second {
-		t.Fatalf("Time(protected) = %v, want 1s", got)
-	}
-	if tl.Transitions() != 2 {
-		t.Fatalf("transitions = %d, want 2", tl.Transitions())
 	}
 
 	// A clock running backwards must not corrupt the totals.
@@ -413,21 +379,13 @@ type writeError struct{ msg string }
 
 func (e *writeError) Error() string { return e.msg }
 
-// TestWriteCSVErrorPropagation: both CSV writers must surface the
+// TestWriteCSVErrorPropagation: the CSV writer must surface the
 // writer's error — from the header write and from a row write.
 func TestWriteCSVErrorPropagation(t *testing.T) {
 	s := NewSeries("p")
 	s.Record(0, 1)
 	s.Record(time.Second, 2)
 
-	// Header write fails.
-	if err := s.WriteCSV(&failAfter{n: 0}); err == nil {
-		t.Fatal("header write error swallowed")
-	}
-	// A row write fails after the header got through.
-	if err := s.WriteCSV(&failAfter{n: len("t_seconds,p\n") + 3}); err == nil {
-		t.Fatal("row write error swallowed")
-	}
 	if err := WriteCSVMulti(&failAfter{n: 0}, s); err == nil {
 		t.Fatal("multi header write error swallowed")
 	}

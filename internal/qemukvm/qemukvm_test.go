@@ -102,7 +102,7 @@ func TestReplicationOntoQEMUKVM(t *testing.T) {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "vm", MemBytes: 512 * memory.PageSize, VCPUs: 2,
-		Features: translate.CompatibleFeatures(xh, qh),
+		Features: translate.CompatibleFeaturesAll(xh, qh),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +111,8 @@ func TestReplicationOntoQEMUKVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replication.New(vm, qh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: qh, Transport: link}}, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

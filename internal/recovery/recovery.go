@@ -22,17 +22,6 @@ import (
 	"github.com/here-ft/here/internal/hypervisor"
 )
 
-// Default policy knobs: three attempts under a two-second wall, a
-// quarter-second first backoff doubling per retry, half of it
-// jittered. Small relative to the heartbeat timeouts that detect the
-// failure, large relative to a simulated reboot.
-const (
-	DefaultDeadline    = 2 * time.Second
-	DefaultMaxAttempts = 3
-	DefaultBackoff     = 250 * time.Millisecond
-	DefaultJitter      = 0.5
-)
-
 // Policy bounds one protection's in-place recovery: how many
 // microreboot attempts, how they back off, and the hard deadline past
 // which the orchestrator stops trying and fails over. The zero value
@@ -52,16 +41,6 @@ type Policy struct {
 	// Jitter is the fraction of each backoff that is randomized, in
 	// [0,1]: a delay d becomes d ± d*Jitter drawn uniformly.
 	Jitter float64
-}
-
-// DefaultPolicy returns the enabled default ladder.
-func DefaultPolicy() Policy {
-	return Policy{
-		Deadline:    DefaultDeadline,
-		MaxAttempts: DefaultMaxAttempts,
-		Backoff:     DefaultBackoff,
-		Jitter:      DefaultJitter,
-	}
 }
 
 // Enabled reports whether the policy permits any in-place attempt.

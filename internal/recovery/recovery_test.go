@@ -11,7 +11,7 @@ import (
 func TestClassify(t *testing.T) {
 	able := hypervisor.Capabilities{Microreboot: true}
 	unable := hypervisor.Capabilities{}
-	pol := DefaultPolicy()
+	pol := Policy{Deadline: 2 * time.Second, MaxAttempts: 3, Backoff: 250 * time.Millisecond, Jitter: 0.5}
 	off := Policy{}
 
 	cases := []struct {
@@ -38,8 +38,8 @@ func TestClassify(t *testing.T) {
 }
 
 func TestPolicyValidate(t *testing.T) {
-	if err := DefaultPolicy().Validate(); err != nil {
-		t.Fatalf("default policy invalid: %v", err)
+	if err := (Policy{Deadline: 2 * time.Second, MaxAttempts: 3, Backoff: 250 * time.Millisecond, Jitter: 0.5}).Validate(); err != nil {
+		t.Fatalf("enabled policy invalid: %v", err)
 	}
 	if err := (Policy{}).Validate(); err != nil {
 		t.Fatalf("zero policy invalid: %v", err)

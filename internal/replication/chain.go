@@ -23,7 +23,11 @@ import (
 // Secondary describes one replication target of a chain: the host that
 // holds the replica and the transport that carries its checkpoints.
 type Secondary struct {
-	Host      hypervisor.Hypervisor
+	Host hypervisor.Hypervisor
+	// Transport carries the leg's checkpoints: a *simnet.Link for
+	// deterministic in-process simulation, or a *transport.Client
+	// streaming to a peer daemon over TCP, a CheckpointSender that ships
+	// the encoded streams and reconciles acked epochs on reconnect.
 	Transport Transport
 	// Warm, when set, is a memory of this guest already on Host (the
 	// fenced primary's copy after its replica was activated, a deposit a

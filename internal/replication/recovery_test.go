@@ -33,7 +33,7 @@ func newRigOnClock(t *testing.T, clk vclock.Clock, memBytes uint64, vcpus int) *
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "protected", MemBytes: memBytes, VCPUs: vcpus,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:02"},
 		},

@@ -326,14 +326,6 @@ var (
 type Config struct {
 	// Engine selects Remus or HERE.
 	Engine Engine
-	// Transport carries checkpoints to the secondary host: a
-	// *simnet.Link for deterministic in-process simulation, or a
-	// *transport.Client streaming to a peer daemon over TCP. A
-	// Transport that also implements CheckpointSender ships the encoded
-	// streams themselves and reconciles acked epochs on reconnect.
-	// Chains built with NewChain carry a transport per secondary and
-	// ignore this field.
-	Transport Transport
 	// Threads is the number of transfer threads (EngineHERE only,
 	// DefaultThreads if 0). Remus always uses one.
 	Threads int
@@ -534,22 +526,14 @@ type Replicator struct {
 	oldest  int               // index of the oldest entry once the ring is full
 }
 
-// New prepares replication of vm onto the single secondary dst over
-// cfg.Transport — the paper's pairwise setup. The protected VM must
-// have been booted with CPUID features the destination supports — boot
-// it with translate.CompatibleFeatures for heterogeneous pairs. For
-// 1+N chains use NewChain.
-func New(vm *hypervisor.VM, dst hypervisor.Hypervisor, cfg Config) (*Replicator, error) {
-	return NewChain(vm, []Secondary{{Host: dst, Transport: cfg.Transport}}, cfg)
-}
-
 // NewChain prepares replication of vm onto a chain of secondaries
 // (paper §8.2 generalized: 1 primary + N replicas on distinct
-// hypervisor flavors). The protected VM must have been booted with the
-// CPUID feature intersection of the whole chain
-// (translate.CompatibleFeaturesAll). Chains of more than one leg
-// require simulated transports: a CheckpointSender (real TCP peer)
-// reconciles acked epochs pairwise and cannot fan out.
+// hypervisor flavors); the paper's pairwise setup is a one-leg chain.
+// The protected VM must have been booted with the CPUID feature
+// intersection of the whole chain (translate.CompatibleFeaturesAll).
+// Chains of more than one leg require simulated transports: a
+// CheckpointSender (real TCP peer) reconciles acked epochs pairwise and
+// cannot fan out.
 func NewChain(vm *hypervisor.VM, secondaries []Secondary, cfg Config) (*Replicator, error) {
 	if vm == nil {
 		return nil, errors.New("replication: nil vm")

@@ -43,7 +43,7 @@ func newRig(t *testing.T, memBytes uint64, vcpus int) *rig {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "protected", MemBytes: memBytes, VCPUs: vcpus,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:01"},
 			{Class: arch.DeviceBlock, ID: "disk0", CapacityB: 8 << 30},
@@ -59,11 +59,16 @@ func newRig(t *testing.T, memBytes uint64, vcpus int) *rig {
 	return &rig{clk: clk, xh: xh, kh: kh, vm: vm, link: link}
 }
 
+// onto prepares replication of vm onto the single secondary dst over
+// link: a one-leg chain.
+func onto(vm *hypervisor.VM, dst hypervisor.Hypervisor, link replication.Transport, cfg replication.Config) (*replication.Replicator, error) {
+	return replication.NewChain(vm, []replication.Secondary{{Host: dst, Transport: link}}, cfg)
+}
+
 func (r *rig) here(t *testing.T, cfg replication.Config) *replication.Replicator {
 	t.Helper()
 	cfg.Engine = replication.EngineHERE
-	cfg.Transport = r.link
-	rep, err := replication.New(r.vm, r.kh, cfg)
+	rep, err := onto(r.vm, r.kh, r.link, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,27 +78,28 @@ func (r *rig) here(t *testing.T, cfg replication.Config) *replication.Replicator
 func TestNewValidation(t *testing.T) {
 	r := newRig(t, 1<<22, 2)
 	valid := replication.Config{
-		Engine: replication.EngineHERE, Transport: r.link, Period: time.Second,
+		Engine: replication.EngineHERE, Period: time.Second,
 	}
-	if _, err := replication.New(nil, r.kh, valid); err == nil {
+	if _, err := onto(nil, r.kh, r.link, valid); err == nil {
 		t.Fatal("nil vm accepted")
 	}
-	if _, err := replication.New(r.vm, nil, valid); err == nil {
+	if _, err := onto(r.vm, nil, r.link, valid); err == nil {
 		t.Fatal("nil dst accepted")
 	}
-	bad := valid
-	bad.Transport = nil
-	if _, err := replication.New(r.vm, r.kh, bad); err == nil {
+	if _, err := onto(r.vm, r.kh, nil, valid); err == nil {
 		t.Fatal("nil link accepted")
 	}
-	bad = valid
+	if _, err := replication.NewChain(r.vm, nil, valid); err == nil {
+		t.Fatal("chain without a secondary accepted")
+	}
+	bad := valid
 	bad.Engine = 0
-	if _, err := replication.New(r.vm, r.kh, bad); err == nil {
+	if _, err := onto(r.vm, r.kh, r.link, bad); err == nil {
 		t.Fatal("zero engine accepted")
 	}
 	bad = valid
 	bad.Period = 0
-	if _, err := replication.New(r.vm, r.kh, bad); err == nil {
+	if _, err := onto(r.vm, r.kh, r.link, bad); err == nil {
 		t.Fatal("no period source accepted")
 	}
 	// Remus with a dynamic policy is allowed: that combination is
@@ -107,7 +113,7 @@ func TestNewValidation(t *testing.T) {
 	ok.Period = 0
 	ok.PeriodManager = pm
 	// Use a homogeneous destination so feature checks pass.
-	if _, err := replication.New(r.vm, r.kh, ok); err != nil {
+	if _, err := onto(r.vm, r.kh, r.link, ok); err != nil {
 		t.Fatalf("Adaptive-Remus-style config rejected: %v", err)
 	}
 }
@@ -132,8 +138,8 @@ func TestNewRejectsIncompatibleFeatureBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = replication.New(vm, kh, replication.Config{
-		Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+	_, err = onto(vm, kh, link, replication.Config{
+		Engine: replication.EngineHERE, Period: time.Second,
 	})
 	if !errors.Is(err, translate.ErrFeatureMismatch) {
 		t.Fatalf("err = %v, want ErrFeatureMismatch", err)
@@ -413,7 +419,7 @@ func TestHERECheckpointFasterThanRemus(t *testing.T) {
 		}
 		vm, err := xh.CreateVM(hypervisor.VMConfig{
 			Name: "vm", MemBytes: 2 << 30, VCPUs: 4,
-			Features: translate.CompatibleFeatures(xh, dst),
+			Features: translate.CompatibleFeaturesAll(xh, dst),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -423,7 +429,7 @@ func TestHERECheckpointFasterThanRemus(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := replication.Config{
-			Engine: engine, Transport: link, Period: 8 * time.Second,
+			Engine: engine, Period: 8 * time.Second,
 		}
 		if loaded {
 			w, err := workload.NewMemoryBench(30, workload.DefaultWriteRate, 5)
@@ -432,7 +438,7 @@ func TestHERECheckpointFasterThanRemus(t *testing.T) {
 			}
 			cfg.Workload = w
 		}
-		rep, err := replication.New(vm, dst, cfg)
+		rep, err := onto(vm, dst, link, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +541,7 @@ func TestConcurrentReplicators(t *testing.T) {
 			Name:     fmt.Sprintf("tenant-%d", i),
 			MemBytes: 256 * memory.PageSize,
 			VCPUs:    2,
-			Features: translate.CompatibleFeatures(xh, kh),
+			Features: translate.CompatibleFeaturesAll(xh, kh),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -544,8 +550,8 @@ func TestConcurrentReplicators(t *testing.T) {
 			[]byte(fmt.Sprintf("tenant %d data", i))); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := replication.New(vm, kh, replication.Config{
-			Engine: replication.EngineHERE, Transport: link, Period: time.Second,
+		rep, err := onto(vm, kh, link, replication.Config{
+			Engine: replication.EngineHERE, Period: time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

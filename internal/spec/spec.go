@@ -69,13 +69,3 @@ func BaselineRate(name Name) (float64, error) {
 	}
 	return float64(time.Second) / float64(p.opCost), nil
 }
-
-// DirtyRatePages reports the page-dirtying rate (pages/sec) of a
-// benchmark at full speed.
-func DirtyRatePages(name Name) (float64, error) {
-	p, ok := profiles[name]
-	if !ok {
-		return 0, fmt.Errorf("spec: unknown benchmark %q", name)
-	}
-	return float64(p.dirtyPages) * float64(time.Second) / float64(p.opCost), nil
-}

@@ -48,27 +48,6 @@ func TestBaselineRatesShapedLikeFig14(t *testing.T) {
 	}
 }
 
-func TestDirtyRatesPreserveCharacter(t *testing.T) {
-	dirty := map[spec.Name]float64{}
-	for _, n := range spec.Names() {
-		d, err := spec.DirtyRatePages(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirty[n] = d
-	}
-	// cactuBSSN and lbm stream memory; namd is cache-resident.
-	if dirty[spec.NAMD] > dirty[spec.GCC] || dirty[spec.NAMD] > dirty[spec.LBM] {
-		t.Fatalf("namd should dirty the least: %v", dirty)
-	}
-	if dirty[spec.CactuBSSN] < dirty[spec.GCC] {
-		t.Fatalf("cactuBSSN should out-dirty gcc: %v", dirty)
-	}
-	if _, err := spec.DirtyRatePages("x"); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 func TestKernelsExecuteOnVM(t *testing.T) {
 	h, err := xen.New("a", vclock.NewSim())
 	if err != nil {

@@ -136,13 +136,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.register(name, help, h).(*Histogram)
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // WritePrometheus writes every registered metric in the Prometheus
 // text exposition format, metric families in sorted name order. All
 // series of one family (base name) are emitted contiguously under a
@@ -263,12 +256,6 @@ func DurationBuckets() []float64 {
 	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10, 25}
 }
 
-// SizeBuckets is the fixed bucket layout (bytes) used for per-transfer
-// size histograms: 4 KiB pages through multi-GiB streams.
-func SizeBuckets() []float64 {
-	return []float64{1 << 12, 1 << 16, 1 << 20, 16 << 20, 128 << 20, 1 << 30, 8 << 30}
-}
-
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
@@ -291,48 +278,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Quantile estimates the q-quantile (0..1) from the bucket counts,
-// interpolating within the containing bucket; the +Inf bucket reports
-// its lower bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum < rank && i < len(h.counts)-1 {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - (cum - float64(c))) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 func (h *Histogram) kind() string { return "histogram" }

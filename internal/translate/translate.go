@@ -25,7 +25,7 @@ var (
 	// ErrFeatureMismatch means the guest was booted with CPUID features
 	// the destination hypervisor cannot provide and feature masking was
 	// not enabled. HERE avoids this by booting protected VMs with the
-	// feature intersection (CompatibleFeatures) up front.
+	// feature intersection (CompatibleFeaturesAll) up front.
 	ErrFeatureMismatch = errors.New("translate: guest features unsupported on destination")
 	// ErrDeviceBusy means a device still has in-flight requests; the
 	// device manager must quiesce devices before state translation.
@@ -41,16 +41,11 @@ type Options struct {
 	MaskFeatures bool
 }
 
-// CompatibleFeatures reports the CPUID feature set a protected VM must
-// be booted with so it can resume on either hypervisor: the
-// intersection of both hosts' feature sets (paper §7.4).
-func CompatibleFeatures(a, b hypervisor.Hypervisor) arch.FeatureSet {
-	return a.Features().Intersect(b.Features())
-}
-
-// CompatibleFeaturesAll generalizes CompatibleFeatures to replication
-// chains: the intersection across the primary and every secondary, so
-// the guest can resume on whichever replica survives.
+// CompatibleFeaturesAll reports the CPUID feature set a protected VM
+// must be booted with so it can resume on any of hosts: the
+// intersection of their feature sets (paper §7.4). For a chain, hosts
+// are the primary and every secondary, so the guest can resume on
+// whichever replica survives.
 func CompatibleFeaturesAll(hosts ...hypervisor.Hypervisor) arch.FeatureSet {
 	if len(hosts) == 0 {
 		return 0

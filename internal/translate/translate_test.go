@@ -51,13 +51,13 @@ func protectedVMState(t *testing.T, xh, kh *hypervisor.Host) arch.MachineState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Features = translate.CompatibleFeatures(xh, kh)
+	st.Features = translate.CompatibleFeaturesAll(xh, kh)
 	return st
 }
 
 func TestCompatibleFeaturesIsStrictIntersection(t *testing.T) {
 	xh, kh := hosts(t)
-	common := translate.CompatibleFeatures(xh, kh)
+	common := translate.CompatibleFeaturesAll(xh, kh)
 	if !common.IsSubsetOf(xh.Features()) || !common.IsSubsetOf(kh.Features()) {
 		t.Fatal("intersection not a subset of both")
 	}

@@ -59,7 +59,7 @@ func newE2ERig(t *testing.T, fence transport.FenceSource, gen uint64) *e2eRig {
 	}
 	vm, err := xh.CreateVM(hypervisor.VMConfig{
 		Name: "protected", MemBytes: e2eMemBytes, VCPUs: 1,
-		Features: translate.CompatibleFeatures(xh, kh),
+		Features: translate.CompatibleFeaturesAll(xh, kh),
 		Devices: []hypervisor.DeviceSpec{
 			{Class: arch.DeviceNet, ID: "net0", MAC: "52:54:00:00:00:01"},
 		},
@@ -111,9 +111,8 @@ func newE2ERig(t *testing.T, fence transport.FenceSource, gen uint64) *e2eRig {
 		t.Fatal(err)
 	}
 	tr := trace.New(clk, 8192)
-	rep, err := replication.New(vm, kh, replication.Config{
-		Engine:    replication.EngineHERE,
-		Transport: cli,
+	rep, err := replication.NewChain(vm, []replication.Secondary{{Host: kh, Transport: cli}}, replication.Config{
+		Engine: replication.EngineHERE,
 		// Comfortably above the hypervisor's 50ms resume warmup so each
 		// cycle has real workload budget (sim time — wall-clock free).
 		Period:       500 * time.Millisecond,

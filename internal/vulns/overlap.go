@@ -52,12 +52,6 @@ func Flavors() []Flavor {
 	return out
 }
 
-// Known reports whether f is a recognized deployment flavor.
-func (f Flavor) Known() bool {
-	_, ok := flavorComponents[f]
-	return ok
-}
-
 // Components lists the code bases whose vulnerabilities affect this
 // deployment.
 func (f Flavor) Components() []Component {

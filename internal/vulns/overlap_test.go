@@ -70,9 +70,6 @@ func componentIn(c Component, set []Component) bool {
 }
 
 func TestFlavorComponents(t *testing.T) {
-	if !FlavorCHV.Known() || Flavor("nonesuch").Known() {
-		t.Fatal("Known() misclassifies flavors")
-	}
 	shared := SharedComponents(FlavorXen, FlavorQEMUKVM)
 	if len(shared) != 1 || shared[0] != CompQEMU {
 		t.Fatalf("SharedComponents(xen, qemu-kvm) = %v, want [qemu]", shared)

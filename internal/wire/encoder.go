@@ -65,9 +65,6 @@ func NewEncoder(contentAware bool) *Encoder {
 	return &Encoder{contentAware: contentAware}
 }
 
-// ContentAware reports whether content-aware encoding is enabled.
-func (e *Encoder) ContentAware() bool { return e.contentAware }
-
 // Prime binds the replica memory this encoder's streams are decoded
 // into: from here on delta frames XOR against the pages mem holds when
 // Encode runs. It copies nothing, so it costs the same for a fresh
@@ -297,7 +294,7 @@ func framePages(mem, base *memory.GuestMemory, aware bool, pages []memory.PageNu
 		zero := !mem.Populated(p)
 		if !zero {
 			_ = mem.ReadPage(p, buf[:]) // p is in range, buf is a page
-			zero = aware && allZero(buf[:])
+			zero = aware && buf == zeroPage
 		}
 		if zero {
 			if runLen > 0 && p == runStart+memory.PageNum(runLen) {

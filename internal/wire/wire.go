@@ -178,13 +178,6 @@ func appendFrame(b []byte, typ byte, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
+// zeroPage is what a page is compared against to find it zero, and
+// what a zero run decodes to; nothing writes it.
 var zeroPage [memory.PageSize]byte

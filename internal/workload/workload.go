@@ -218,9 +218,6 @@ var _ Workload = (*CPUKernel)(nil)
 // Name implements Workload.
 func (k *CPUKernel) Name() string { return k.name }
 
-// OpCost reports the guest time one operation consumes.
-func (k *CPUKernel) OpCost() time.Duration { return k.opCost }
-
 // Step implements Workload: runs the operations that fit in d plus
 // any carried-over remainder, dirtying the kernel's per-op page count
 // within its working set. Sub-op time slices accumulate, so slicing an

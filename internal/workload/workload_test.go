@@ -226,9 +226,6 @@ func TestCPUKernelOpsScaleWithTime(t *testing.T) {
 	if stats.Writes != 8 {
 		t.Fatalf("Writes = %d, want 8", stats.Writes)
 	}
-	if k.OpCost() != 250*time.Millisecond {
-		t.Fatalf("OpCost = %v", k.OpCost())
-	}
 	// Sub-op step: no progress.
 	stats, err = k.Step(vm, 100*time.Millisecond)
 	if err != nil || stats.Ops != 0 {

@@ -185,9 +185,6 @@ func New(store *kvstore.Store, cfg Config) (*Workload, error) {
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return "ycsb-" + string(w.kind) }
 
-// Kind reports the workload letter.
-func (w *Workload) Kind() Kind { return w.kind }
-
 // BaselineThroughput reports the unreplicated operations/second this
 // workload achieves (the Fig 11 "Xen" bars).
 func (w *Workload) BaselineThroughput() float64 {
