@@ -2,9 +2,9 @@ GO ?= go
 
 RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
 
-.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench-api bench-api-smoke bench-tick bench-tick-smoke bench bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
+.PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench-api bench-api-smoke bench-tick bench-tick-smoke bench-state bench-state-smoke bench bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 
-check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke bench-reprotect-smoke bench-api-smoke bench-tick-smoke bench-gate
+check: vet fmt build test race fuzz-smoke bench-smoke bench-transport-smoke bench-trace-smoke bench-reprotect-smoke bench-api-smoke bench-tick-smoke bench-state-smoke bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -99,6 +99,17 @@ bench-tick:
 
 bench-tick-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkTick$$' -benchmem -benchtime=1x ./internal/fleet
+
+# Per-layer benchmark of the state record a checkpoint ships to a
+# heterogeneous secondary: capture a paused Xen guest's machine state,
+# translate it, and encode it in the kvmtool or cloud-hypervisor
+# layout, ns/op, B/op and allocs/op. bench-state-smoke runs each once,
+# in `make check` and CI.
+bench-state:
+	$(GO) test -run '^$$' -bench StateRecord -benchmem ./internal/translate
+
+bench-state-smoke:
+	$(GO) test -run '^$$' -bench StateRecord -benchmem -benchtime=1x ./internal/translate
 
 # Rewrites the committed BENCH_wire.json, BENCH_trace.json and
 # BENCH_recovery.json from a quick-scale run. Every row is virtual

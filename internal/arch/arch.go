@@ -3,8 +3,9 @@
 // registers, platform timers, interrupt controller state, CPUID
 // features, and abstract virtual device descriptions.
 //
-// Both simulated hypervisors (internal/xen, internal/kvm) serialize to
-// and from their own native wire formats; translation always goes
+// Every simulated backend (internal/xen, internal/kvm, internal/chv)
+// serializes to and from its own native save image, written field by
+// field with this package's Writer and Reader; translation always goes
 // native → arch.MachineState → native.
 package arch
 

@@ -35,7 +35,7 @@ func init() {
 // New returns a host machine running the simulated cloud-hypervisor
 // backend.
 func New(hostName string, clock vclock.Clock) (*hypervisor.Host, error) {
-	return hypervisor.NewHost(flavor{}, hostName, clock)
+	return hypervisor.NewHost(flavor, hostName, clock)
 }
 
 // FirstGSI is the first IOAPIC line cloud-hypervisor assigns to
@@ -61,35 +61,15 @@ func Features() arch.FeatureSet {
 	)
 }
 
-type flavor struct{}
-
-var _ hypervisor.Flavor = flavor{}
-
-func (flavor) Kind() hypervisor.Kind     { return hypervisor.KindCHV }
-func (flavor) Product() string           { return Product }
-func (flavor) Features() arch.FeatureSet { return Features() }
-
-// DeviceModel maps a device class to cloud-hypervisor's virtio-pci
-// model names.
-func (flavor) DeviceModel(class arch.DeviceClass) (string, error) {
-	switch class {
-	case arch.DeviceNet:
-		return "virtio-net-pci", nil
-	case arch.DeviceBlock:
-		return "virtio-blk-pci", nil
-	case arch.DeviceConsole:
-		return "virtio-console-pci", nil
-	default:
-		return "", fmt.Errorf("chv: no device model for class %v", class)
-	}
-}
-
-// Costs reports the backend's replication cost model: a thin rust VMM
-// with cheap pause/resume like kvmtool, slightly faster state
-// serialization (versioned in-memory snapshots, no section naming) and
-// marginally slower page mapping through the extra PCI indirection.
-func (flavor) Costs() hypervisor.CostModel {
-	return hypervisor.CostModel{
+var flavor = hypervisor.Flavor{
+	Kind:     hypervisor.KindCHV,
+	Product:  Product,
+	Features: Features(),
+	// A thin rust VMM with cheap pause/resume like kvmtool, slightly
+	// faster state serialization (versioned in-memory snapshots, no
+	// section naming) and marginally slower page mapping through the
+	// extra PCI indirection.
+	Costs: hypervisor.CostModel{
 		PauseVM:              130 * time.Microsecond,
 		ResumeVM:             320 * time.Microsecond,
 		DevicePlug:           1000 * time.Microsecond,
@@ -100,15 +80,12 @@ func (flavor) Costs() hypervisor.CostModel {
 		ResumeWarmup:         35 * time.Millisecond,
 		CompressPerDirtyPage: 2 * time.Microsecond,
 		StateRecord:          180 * time.Microsecond,
-	}
-}
-
-// Capabilities describes the cloud-hypervisor backend: TLV snapshot
-// stream, KVM dirty rings, full snapshot/restore, virtio-pci device
-// naming, and a CVE surface of kvm-core plus its own (CVE-free in the
-// study period) VMM.
-func (flavor) Capabilities() hypervisor.Capabilities {
-	return hypervisor.Capabilities{
+	},
+	// TLV snapshot stream, KVM dirty rings, full snapshot/restore,
+	// IOAPIC GSIs from FirstGSI, virtio-pci device naming, and a CVE
+	// surface of kvm-core plus its own (CVE-free in the study period)
+	// VMM.
+	Caps: hypervisor.Capabilities{
 		StateFormat:  "chv-snapshot-tlv",
 		StateVersion: 1,
 		DirtyTracking: hypervisor.DirtyTracking{
@@ -117,113 +94,34 @@ func (flavor) Capabilities() hypervisor.Capabilities {
 		},
 		SnapshotRestore: true,
 		LiveDirtyLog:    true,
+		IRQChip:         arch.IRQChipIOAPIC,
+		FirstVector:     FirstGSI,
 		DeviceNaming:    "chv-virtio-pci",
 		// No in-place recovery path: cloud-hypervisor offers no
 		// kexec-with-VM-preservation story, so a failed chv host can
 		// only be failed over.
 		Microreboot: false,
 		VulnFlavor:  vulns.FlavorCHV,
-	}
+	},
+	Models: map[arch.DeviceClass]string{
+		arch.DeviceNet:     "virtio-net-pci",
+		arch.DeviceBlock:   "virtio-blk-pci",
+		arch.DeviceConsole: "virtio-console-pci",
+	},
+	Check:  checkGSIs,
+	Encode: encodeState,
+	Decode: decodeState,
 }
 
-// NewMachineState builds the boot-time machine state of a fresh
-// cloud-hypervisor guest: IOAPIC interrupt delivery and virtio-pci
-// device models on consecutive GSIs from FirstGSI.
-func (f flavor) NewMachineState(cfg hypervisor.VMConfig) (arch.MachineState, error) {
-	features := Features()
-	if cfg.Features != 0 {
-		if !cfg.Features.IsSubsetOf(features) {
-			return arch.MachineState{}, fmt.Errorf("chv: requested features %v exceed host support", cfg.Features)
-		}
-		features = cfg.Features
-	}
-	st := arch.MachineState{
-		Features: features,
-		Timers: arch.TimerState{
-			TSCFrequencyHz: 2_100_000_000,
-		},
-		IRQChip: arch.IRQChipState{Kind: arch.IRQChipIOAPIC},
-	}
-	st.VCPUs = make([]arch.VCPUState, cfg.VCPUs)
-	for i := range st.VCPUs {
-		st.VCPUs[i] = bootVCPU(i)
-	}
-	gsi := uint32(FirstGSI)
-	for _, spec := range cfg.Devices {
-		model, err := f.DeviceModel(spec.Class)
-		if err != nil {
-			return arch.MachineState{}, err
-		}
-		dev := arch.DeviceState{
-			Class:     spec.Class,
-			ID:        spec.ID,
-			Model:     model,
-			MAC:       spec.MAC,
-			MTU:       spec.MTU,
-			CapacityB: spec.CapacityB,
-		}
-		if dev.Class == arch.DeviceNet && dev.MTU == 0 {
-			dev.MTU = 1500
-		}
-		st.Devices = append(st.Devices, dev)
-		st.IRQChip.Pending = append(st.IRQChip.Pending, arch.IRQBinding{
-			Source: spec.ID,
-			Vector: gsi,
-		})
-		gsi++
-	}
-	return st, nil
-}
-
-func bootVCPU(id int) arch.VCPUState {
-	flat := arch.Segment{Selector: 0x10, Base: 0, Limit: 0xFFFFFFFF, Flags: 0xA09B}
-	return arch.VCPUState{
-		ID: id,
-		Regs: arch.Registers{
-			RIP:    0x1000000,
-			RSP:    0x7FF0_0000 - uint64(id)*0x10000,
-			RFLAGS: 0x2,
-			CR0:    0x8005_0033,
-			CR3:    0x1000,
-			CR4:    0x3406E0,
-			EFER:   0x500,
-			CS:     flat, DS: flat, ES: flat, FS: flat, GS: flat, SS: flat,
-		},
-		MSRs: map[uint32]uint64{
-			0xC0000080: 0x500,
-			0xC0000100: 0,
-			0xC0000101: 0,
-		},
-		APIC: arch.APICState{ID: uint32(id)},
-	}
-}
-
-// ValidateNative checks that machine state is cloud-hypervisor
-// flavored: IOAPIC interrupt delivery, virtio-pci device models, and
-// device GSIs at or above FirstGSI — kvmtool-numbered bindings (GSIs
-// from 16) must be renumbered by the translator before they load here.
-func (flavor) ValidateNative(st arch.MachineState) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	if st.IRQChip.Kind != arch.IRQChipIOAPIC {
-		return fmt.Errorf("chv: irqchip %v is not ioapic", st.IRQChip.Kind)
-	}
+// checkGSIs rejects device bindings below FirstGSI: kvmtool-numbered
+// bindings (GSIs from 16) must be renumbered by the translator before
+// they load here.
+func checkGSIs(st arch.MachineState) error {
 	for _, b := range st.IRQChip.Pending {
 		if b.Vector < FirstGSI {
 			return fmt.Errorf("chv: binding %q on reserved GSI %d (devices start at %d)",
 				b.Source, b.Vector, FirstGSI)
 		}
-	}
-	for _, d := range st.Devices {
-		switch d.Model {
-		case "virtio-net-pci", "virtio-blk-pci", "virtio-console-pci":
-		default:
-			return fmt.Errorf("chv: device %q has non-virtio-pci model %q", d.ID, d.Model)
-		}
-	}
-	if !st.Features.IsSubsetOf(Features()) {
-		return fmt.Errorf("chv: state requires unsupported features")
 	}
 	return nil
 }

@@ -1,11 +1,8 @@
 package chv
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sort"
 
 	"github.com/here-ft/here/internal/arch"
 )
@@ -30,284 +27,112 @@ const (
 	tagEnd    uint16 = 0xFFFF
 )
 
-// EncodeState serializes chv-flavored machine state to the TLV
-// snapshot format.
-func (f flavor) EncodeState(st arch.MachineState) ([]byte, error) {
-	if err := f.ValidateNative(st); err != nil {
-		return nil, fmt.Errorf("chv encode: %w", err)
+// encodeState writes the snapshot stream.
+func encodeState(st arch.MachineState) ([]byte, error) {
+	w := arch.NewWriter(binary.LittleEndian, formatMagic)
+	segment := func(tag uint16, fill func()) {
+		w.U16(uint64(tag))
+		hole := w.Hole()
+		fill()
+		w.Fill(hole)
 	}
-	var out bytes.Buffer
-	out.WriteString(formatMagic)
-
-	writeSegment(&out, tagConfig, func(b *bytes.Buffer) {
-		le(b, uint64(st.Features))
-	})
+	segment(tagConfig, func() { w.U64(uint64(st.Features)) })
 	for _, v := range st.VCPUs {
-		v := v
-		writeSegment(&out, tagVCPU, func(b *bytes.Buffer) {
-			le(b, uint32(v.ID))
-			le(b, v.Index) // revision counter first — reversed vs kvmtool
-			le(b, v.Halt)
-			le(b, v.TSC)
-			le(b, v.Regs)
-			le(b, v.APIC.ID)
-			le(b, v.APIC.TPR)
-			le(b, v.APIC.Timer) // count before divider — reversed vs kvmtool
-			le(b, v.APIC.TimerDiv)
-			leBytes(b, v.APIC.ISR) // ISR before IRR — reversed vs kvmtool
-			leBytes(b, v.APIC.IRR)
-			keys := make([]uint32, 0, len(v.MSRs))
-			for k := range v.MSRs {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			le(b, uint32(len(keys)))
-			for _, k := range keys {
-				le(b, k)
-				le(b, v.MSRs[k])
-			}
+		segment(tagVCPU, func() {
+			w.U32(uint64(v.ID))
+			w.U32(uint64(v.Index)) // revision counter first — reversed vs kvmtool
+			w.Bool(v.Halt)
+			w.U64(v.TSC)
+			w.Registers(v.Regs)
+			w.U32(uint64(v.APIC.ID))
+			w.U32(uint64(v.APIC.TPR))
+			w.U64(v.APIC.Timer) // count before divider — reversed vs kvmtool
+			w.U32(uint64(v.APIC.TimerDiv))
+			w.Bytes(2, v.APIC.ISR) // ISR before IRR — reversed vs kvmtool
+			w.Bytes(2, v.APIC.IRR)
+			w.MSRs(4, v.MSRs)
 		})
 	}
 	for _, d := range st.Devices {
-		d := d
-		writeSegment(&out, tagDevice, func(b *bytes.Buffer) {
-			leStr(b, d.Model) // model before id — reversed vs kvmtool
-			leStr(b, d.ID)
-			le(b, uint16(d.Class))
-			le(b, d.CapacityB)
-			leStr(b, d.MAC)
-			le(b, uint32(d.MTU))
-			le(b, uint16(d.InFlight))
-			le(b, d.WriteBack)
+		segment(tagDevice, func() {
+			w.Str(d.Model) // model before id — reversed vs kvmtool
+			w.Str(d.ID)
+			w.U16(uint64(d.Class))
+			w.U64(d.CapacityB)
+			w.Str(d.MAC)
+			w.U32(uint64(d.MTU))
+			w.U16(uint64(d.InFlight))
+			w.Bool(d.WriteBack)
 		})
 	}
-	writeSegment(&out, tagIRQ, func(b *bytes.Buffer) {
-		le(b, uint32(len(st.IRQChip.Pending)))
+	segment(tagIRQ, func() {
+		w.U32(uint64(len(st.IRQChip.Pending)))
 		for _, bind := range st.IRQChip.Pending {
-			leStr(b, bind.Source)
-			le(b, bind.Vector)
-			le(b, bind.Masked)
+			w.Str(bind.Source)
+			w.U32(uint64(bind.Vector))
+			w.Bool(bind.Masked)
 		}
 	})
-	writeSegment(&out, tagClock, func(b *bytes.Buffer) {
-		le(b, st.Timers.TSCFrequencyHz) // Hz as u64 — vs KVM's kHz u32
-		le(b, st.Timers.SystemTimeNS)
-		le(b, st.Timers.WallClockSec)
-		le(b, st.Timers.WallClockNSec)
+	segment(tagClock, func() {
+		w.U64(st.Timers.TSCFrequencyHz) // Hz as u64 — vs KVM's kHz u32
+		w.U64(st.Timers.SystemTimeNS)
+		w.U64(st.Timers.WallClockSec)
+		w.U32(uint64(st.Timers.WallClockNSec))
 	})
-	writeSegment(&out, tagEnd, func(*bytes.Buffer) {})
-	return out.Bytes(), nil
+	segment(tagEnd, func() {})
+	return w.Finish()
 }
 
-// DecodeState parses a chv snapshot stream.
-func (f flavor) DecodeState(data []byte) (arch.MachineState, error) {
+// decodeState parses a snapshot stream. Bytes after the end tag, or
+// after a segment's payload inside it, are ignored.
+func decodeState(data []byte) (arch.MachineState, error) {
 	var st arch.MachineState
-	if len(data) < len(formatMagic) || string(data[:len(formatMagic)]) != formatMagic {
-		return st, fmt.Errorf("chv decode: bad magic")
+	r := arch.NewReader(binary.LittleEndian, data)
+	if string(r.Next(len(formatMagic))) != formatMagic {
+		return st, fmt.Errorf("bad magic")
 	}
-	r := bytes.NewReader(data[len(formatMagic):])
-	sawEnd := false
-	for !sawEnd {
-		tag, payload, err := readSegment(r)
-		if err != nil {
-			return st, fmt.Errorf("chv decode: %w", err)
+	for {
+		tag := r.U16()
+		payload := r.Next(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return st, fmt.Errorf("segment header: %w", err)
 		}
-		p := bytes.NewReader(payload)
+		p := arch.NewReader(binary.LittleEndian, payload)
 		switch tag {
 		case tagConfig:
-			var fs uint64
-			err = binary.Read(p, binary.LittleEndian, &fs)
-			st.Features = arch.FeatureSet(fs)
+			st.Features = arch.FeatureSet(p.U64())
 		case tagVCPU:
-			var v arch.VCPUState
-			v, err = decodeVCPU(p)
-			if err == nil {
-				st.VCPUs = append(st.VCPUs, v)
-			}
+			v := arch.VCPUState{ID: int(p.U32()), Index: p.U32(), Halt: p.Bool(), TSC: p.U64(), Regs: p.Registers()}
+			v.APIC = arch.APICState{ID: p.U32(), TPR: p.U32(), Timer: p.U64(), TimerDiv: p.U32()}
+			v.APIC.ISR = p.Bytes(2)
+			v.APIC.IRR = p.Bytes(2)
+			v.MSRs = p.MSRs(4)
+			st.VCPUs = append(st.VCPUs, v)
 		case tagDevice:
-			var d arch.DeviceState
-			d, err = decodeDevice(p)
-			if err == nil {
-				st.Devices = append(st.Devices, d)
-			}
+			st.Devices = append(st.Devices, arch.DeviceState{
+				Model: p.Str(), ID: p.Str(), Class: arch.DeviceClass(p.U16()), CapacityB: p.U64(),
+				MAC: p.Str(), MTU: int(p.U32()), InFlight: int(p.U16()), WriteBack: p.Bool(),
+			})
 		case tagIRQ:
 			st.IRQChip.Kind = arch.IRQChipIOAPIC
-			var n uint32
-			if err = binary.Read(p, binary.LittleEndian, &n); err != nil {
-				break
-			}
-			for i := uint32(0); i < n && err == nil; i++ {
-				var bind arch.IRQBinding
-				if bind.Source, err = leReadStr(p); err != nil {
-					break
-				}
-				if err = readAllLE(p, &bind.Vector, &bind.Masked); err != nil {
-					break
-				}
-				st.IRQChip.Pending = append(st.IRQChip.Pending, bind)
+			for n := p.U32(); n > 0 && p.Err() == nil; n-- {
+				st.IRQChip.Pending = append(st.IRQChip.Pending,
+					arch.IRQBinding{Source: p.Str(), Vector: p.U32(), Masked: p.Bool()})
 			}
 		case tagClock:
-			err = readAllLE(p, &st.Timers.TSCFrequencyHz, &st.Timers.SystemTimeNS,
-				&st.Timers.WallClockSec, &st.Timers.WallClockNSec)
-		case tagEnd:
-			sawEnd = true
-		default:
-			return st, fmt.Errorf("chv decode: unknown tag %#04x", tag)
-		}
-		if err != nil {
-			return st, fmt.Errorf("chv decode: tag %#04x: %w", tag, err)
-		}
-	}
-	if err := f.ValidateNative(st); err != nil {
-		return st, fmt.Errorf("chv decode: %w", err)
-	}
-	return st, nil
-}
-
-func decodeVCPU(p *bytes.Reader) (arch.VCPUState, error) {
-	var v arch.VCPUState
-	var id uint32
-	if err := readAllLE(p, &id, &v.Index, &v.Halt, &v.TSC); err != nil {
-		return v, err
-	}
-	v.ID = int(id)
-	if err := binary.Read(p, binary.LittleEndian, &v.Regs); err != nil {
-		return v, err
-	}
-	if err := readAllLE(p, &v.APIC.ID, &v.APIC.TPR, &v.APIC.Timer, &v.APIC.TimerDiv); err != nil {
-		return v, err
-	}
-	var err error
-	if v.APIC.ISR, err = leReadBytes(p); err != nil {
-		return v, err
-	}
-	if v.APIC.IRR, err = leReadBytes(p); err != nil {
-		return v, err
-	}
-	var nMSRs uint32
-	if err := binary.Read(p, binary.LittleEndian, &nMSRs); err != nil {
-		return v, err
-	}
-	if int64(nMSRs) > int64(p.Len()) {
-		return v, fmt.Errorf("msr count %d exceeds remaining input", nMSRs)
-	}
-	if nMSRs > 0 {
-		v.MSRs = make(map[uint32]uint64, nMSRs)
-		for i := uint32(0); i < nMSRs; i++ {
-			var k uint32
-			var val uint64
-			if err := readAllLE(p, &k, &val); err != nil {
-				return v, err
+			st.Timers = arch.TimerState{
+				TSCFrequencyHz: p.U64(),
+				SystemTimeNS:   p.U64(),
+				WallClockSec:   p.U64(),
+				WallClockNSec:  p.U32(),
 			}
-			v.MSRs[k] = val
+		case tagEnd:
+			return st, nil
+		default:
+			return st, fmt.Errorf("unknown tag %#04x", tag)
+		}
+		if err := p.Err(); err != nil {
+			return st, fmt.Errorf("tag %#04x: %w", tag, err)
 		}
 	}
-	return v, nil
-}
-
-func decodeDevice(p *bytes.Reader) (arch.DeviceState, error) {
-	var d arch.DeviceState
-	var err error
-	if d.Model, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	if d.ID, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	var class uint16
-	if err := binary.Read(p, binary.LittleEndian, &class); err != nil {
-		return d, err
-	}
-	d.Class = arch.DeviceClass(class)
-	if err := binary.Read(p, binary.LittleEndian, &d.CapacityB); err != nil {
-		return d, err
-	}
-	if d.MAC, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	var mtu uint32
-	var inflight uint16
-	if err := readAllLE(p, &mtu, &inflight, &d.WriteBack); err != nil {
-		return d, err
-	}
-	d.MTU = int(mtu)
-	d.InFlight = int(inflight)
-	return d, nil
-}
-
-func writeSegment(out *bytes.Buffer, tag uint16, fill func(*bytes.Buffer)) {
-	var payload bytes.Buffer
-	fill(&payload)
-	le(out, tag)
-	le(out, uint32(payload.Len()))
-	out.Write(payload.Bytes())
-}
-
-func readSegment(r *bytes.Reader) (tag uint16, payload []byte, err error) {
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return 0, nil, fmt.Errorf("segment tag: %w", err)
-	}
-	var length uint32
-	if err := binary.Read(r, binary.LittleEndian, &length); err != nil {
-		return 0, nil, fmt.Errorf("segment %#04x length: %w", tag, err)
-	}
-	if int64(length) > int64(r.Len()) {
-		return 0, nil, fmt.Errorf("segment %#04x length %d exceeds remaining input %d",
-			tag, length, r.Len())
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("segment %#04x payload: %w", tag, err)
-	}
-	return tag, payload, nil
-}
-
-func le(b *bytes.Buffer, v any) {
-	_ = binary.Write(b, binary.LittleEndian, v)
-}
-
-func leStr(b *bytes.Buffer, s string) {
-	le(b, uint16(len(s)))
-	b.WriteString(s)
-}
-
-func leBytes(b *bytes.Buffer, p []byte) {
-	le(b, uint16(len(p)))
-	b.Write(p)
-}
-
-func leReadStr(r *bytes.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func leReadBytes(r *bytes.Reader) ([]byte, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func readAllLE(r *bytes.Reader, dsts ...any) error {
-	for _, d := range dsts {
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"github.com/here-ft/here/internal/arch"
 	"github.com/here-ft/here/internal/vulns"
 )
 
@@ -17,9 +18,9 @@ type DirtyTracking struct {
 
 // Capabilities is a backend's first-class self-description: what the
 // replication, translation and placement layers may rely on without
-// knowing the concrete implementation. Engines must consult these
-// instead of switching on Kind — a new backend then plugs in by
-// registering, not by editing every engine.
+// knowing the concrete implementation. Engines consult these instead
+// of switching on Kind — the translator included — so a new backend
+// plugs in by registering its Flavor, not by editing an engine.
 type Capabilities struct {
 	// StateFormat names the native machine-state wire format, e.g.
 	// "xen-libxc-records". Two hosts with equal formats can exchange
@@ -37,6 +38,13 @@ type Capabilities struct {
 	// while the guest runs — required of any host asked to run a
 	// protected primary.
 	LiveDirtyLog bool
+	// IRQChip is the interrupt platform a native state uses, and
+	// FirstVector the vector its first device is bound to (an event
+	// channel port on Xen, an IOAPIC GSI on the KVM-based backends);
+	// later devices take the vectors after it. The translator rebinds
+	// a state's interrupts onto the destination's platform from these.
+	IRQChip     arch.IRQChipKind
+	FirstVector uint32
 	// DeviceNaming names the device-model naming scheme, e.g. "xen-pv"
 	// or "kvmtool-virtio". Purely informational: the translator always
 	// rewrites models through DeviceModel().

@@ -10,27 +10,27 @@ import (
 	"github.com/here-ft/here/internal/vclock"
 )
 
-// Flavor supplies everything implementation-specific about a simulated
-// hypervisor: its identity, feature set, device models, cost model,
-// native machine-state layout and wire codec. internal/xen and
-// internal/kvm each provide one Flavor; Host supplies the shared
-// VM-registry and health machinery around it.
-type Flavor interface {
-	Kind() Kind
-	Product() string
-	Features() arch.FeatureSet
-	DeviceModel(class arch.DeviceClass) (string, error)
-	Costs() CostModel
-	// Capabilities is the backend's first-class self-description.
-	Capabilities() Capabilities
-	// NewMachineState builds the initial, native-flavored machine
-	// state for a freshly booted VM.
-	NewMachineState(cfg VMConfig) (arch.MachineState, error)
-	// ValidateNative checks that machine state is in this hypervisor's
-	// native flavor (irqchip kind, device model names) and is loadable.
-	ValidateNative(st arch.MachineState) error
-	EncodeState(st arch.MachineState) ([]byte, error)
-	DecodeState(b []byte) (arch.MachineState, error)
+// Flavor is what one backend supplies: its identity table and its
+// native save-image layout. Everything the backends share — the boot
+// state, the native-flavor check, wrapping codec errors, the VM
+// registry and the health machinery — is Host's, once for every
+// flavor.
+type Flavor struct {
+	Kind     Kind
+	Product  string
+	Features arch.FeatureSet
+	Costs    CostModel
+	Caps     Capabilities
+	// Models names the native device model of each class. A state
+	// loads only if every device's model is one of them.
+	Models map[arch.DeviceClass]string
+	// Check, when set, is a native-flavor rule of the backend's own,
+	// run after the shared ones.
+	Check func(arch.MachineState) error
+	// Encode and Decode are the save-image layout. Host checks the
+	// state is native before Encode and after Decode.
+	Encode func(arch.MachineState) ([]byte, error)
+	Decode func([]byte) (arch.MachineState, error)
 }
 
 // Host is the shared Hypervisor implementation: one simulated physical
@@ -69,8 +69,8 @@ var _ Hypervisor = (*Host)(nil)
 
 // NewHost returns a healthy host running the given flavor.
 func NewHost(flavor Flavor, hostName string, clock vclock.Clock) (*Host, error) {
-	if flavor == nil {
-		return nil, fmt.Errorf("host %q: nil flavor", hostName)
+	if flavor.Encode == nil || flavor.Decode == nil {
+		return nil, fmt.Errorf("host %q: flavor %q has no save-image layout", hostName, flavor.Kind)
 	}
 	if clock == nil {
 		return nil, fmt.Errorf("host %q: nil clock", hostName)
@@ -88,39 +88,167 @@ func NewHost(flavor Flavor, hostName string, clock vclock.Clock) (*Host, error) 
 }
 
 // Kind reports the hypervisor family.
-func (h *Host) Kind() Kind { return h.flavor.Kind() }
+func (h *Host) Kind() Kind { return h.flavor.Kind }
 
 // Product reports the hypervisor product name.
-func (h *Host) Product() string { return h.flavor.Product() }
+func (h *Host) Product() string { return h.flavor.Product }
 
 // HostName reports the machine name.
 func (h *Host) HostName() string { return h.hostName }
 
 // Features reports the exposable CPUID features.
-func (h *Host) Features() arch.FeatureSet { return h.flavor.Features() }
+func (h *Host) Features() arch.FeatureSet { return h.flavor.Features }
 
 // DeviceModel reports the native device model name for a class.
 func (h *Host) DeviceModel(class arch.DeviceClass) (string, error) {
-	return h.flavor.DeviceModel(class)
+	if model, ok := h.flavor.Models[class]; ok {
+		return model, nil
+	}
+	return "", fmt.Errorf("%s: no device model for class %v", h.flavor.Kind, class)
 }
 
 // Costs reports the replication cost model.
-func (h *Host) Costs() CostModel { return h.flavor.Costs() }
+func (h *Host) Costs() CostModel { return h.flavor.Costs }
 
 // Capabilities reports the backend's self-description.
-func (h *Host) Capabilities() Capabilities { return h.flavor.Capabilities() }
+func (h *Host) Capabilities() Capabilities { return h.flavor.Caps }
 
 // Clock reports the host time source.
 func (h *Host) Clock() vclock.Clock { return h.clock }
 
-// EncodeState serializes to the native wire format.
+// EncodeState serializes native-flavored state to the save image.
 func (h *Host) EncodeState(st arch.MachineState) ([]byte, error) {
-	return h.flavor.EncodeState(st)
+	err := h.validateNative(st)
+	var b []byte
+	if err == nil {
+		b, err = h.flavor.Encode(st)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s encode: %w", h.flavor.Kind, err)
+	}
+	return b, nil
 }
 
-// DecodeState parses the native wire format.
+// DecodeState parses a save image and checks it is native-flavored.
 func (h *Host) DecodeState(b []byte) (arch.MachineState, error) {
-	return h.flavor.DecodeState(b)
+	st, err := h.flavor.Decode(b)
+	if err == nil {
+		err = h.validateNative(st)
+	}
+	if err != nil {
+		return st, fmt.Errorf("%s decode: %w", h.flavor.Kind, err)
+	}
+	return st, nil
+}
+
+// bootTSCHz is the guest-visible TSC rate of a fresh VM (Xeon Gold
+// 6130, Table 3).
+const bootTSCHz = 2_100_000_000
+
+// newMachineState builds the boot-time machine state of a fresh VM:
+// flat 64-bit vCPUs, the flavor's interrupt platform and native device
+// models, each device bound to the next interrupt vector from
+// Caps.FirstVector.
+func (h *Host) newMachineState(cfg VMConfig) (arch.MachineState, error) {
+	f := h.flavor
+	features := f.Features
+	if cfg.Features != 0 {
+		if !cfg.Features.IsSubsetOf(features) {
+			return arch.MachineState{}, fmt.Errorf("%s: requested features %v exceed host support", f.Kind, cfg.Features)
+		}
+		features = cfg.Features
+	}
+	st := arch.MachineState{
+		Features: features,
+		Timers:   arch.TimerState{TSCFrequencyHz: bootTSCHz},
+		IRQChip:  arch.IRQChipState{Kind: f.Caps.IRQChip},
+		VCPUs:    make([]arch.VCPUState, cfg.VCPUs),
+	}
+	for i := range st.VCPUs {
+		st.VCPUs[i] = bootVCPU(i)
+	}
+	for i, spec := range cfg.Devices {
+		model, err := h.DeviceModel(spec.Class)
+		if err != nil {
+			return arch.MachineState{}, err
+		}
+		dev := arch.DeviceState{
+			Class:     spec.Class,
+			ID:        spec.ID,
+			Model:     model,
+			MAC:       spec.MAC,
+			MTU:       spec.MTU,
+			CapacityB: spec.CapacityB,
+		}
+		if dev.Class == arch.DeviceNet && dev.MTU == 0 {
+			dev.MTU = 1500
+		}
+		st.Devices = append(st.Devices, dev)
+		st.IRQChip.Pending = append(st.IRQChip.Pending, arch.IRQBinding{
+			Source: spec.ID,
+			Vector: f.Caps.FirstVector + uint32(i),
+		})
+	}
+	return st, nil
+}
+
+func bootVCPU(id int) arch.VCPUState {
+	flat := arch.Segment{Selector: 0x10, Base: 0, Limit: 0xFFFFFFFF, Flags: 0xA09B}
+	return arch.VCPUState{
+		ID: id,
+		Regs: arch.Registers{
+			RIP:    0x1000000,
+			RSP:    0x7FF0_0000 - uint64(id)*0x10000,
+			RFLAGS: 0x2,
+			CR0:    0x8005_0033, // PE|MP|ET|NE|WP|AM|PG
+			CR3:    0x1000,
+			CR4:    0x3406E0,
+			EFER:   0x500, // LME|LMA
+			CS:     flat, DS: flat, ES: flat, FS: flat, GS: flat, SS: flat,
+		},
+		MSRs: map[uint32]uint64{
+			0xC0000080: 0x500, // IA32_EFER
+			0xC0000100: 0,     // FS base
+			0xC0000101: 0,     // GS base
+		},
+		APIC: arch.APICState{ID: uint32(id)},
+	}
+}
+
+// validateNative checks that machine state is in this host's flavor
+// and loadable: the flavor's interrupt platform, its own device models
+// only, its features, and the flavor's own Check. Loading another
+// flavor's state must fail — that is what makes the state translator
+// necessary.
+func (h *Host) validateNative(st arch.MachineState) error {
+	f := h.flavor
+	if err := st.Validate(); err != nil {
+		return err
+	}
+	if st.IRQChip.Kind != f.Caps.IRQChip {
+		return fmt.Errorf("%s: irqchip %v is not %v", f.Kind, st.IRQChip.Kind, f.Caps.IRQChip)
+	}
+	for _, d := range st.Devices {
+		if !h.nativeModel(d.Model) {
+			return fmt.Errorf("%s: device %q has non-native model %q", f.Kind, d.ID, d.Model)
+		}
+	}
+	if !st.Features.IsSubsetOf(f.Features) {
+		return fmt.Errorf("%s: state requires unsupported features", f.Kind)
+	}
+	if f.Check != nil {
+		return f.Check(st)
+	}
+	return nil
+}
+
+func (h *Host) nativeModel(model string) bool {
+	for _, m := range h.flavor.Models {
+		if m == model {
+			return true
+		}
+	}
+	return false
 }
 
 func (h *Host) checkUp() error {
@@ -141,7 +269,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := h.flavor.NewMachineState(cfg)
+	st, err := h.newMachineState(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("host %q: %w", h.hostName, err)
 	}
@@ -169,7 +297,7 @@ func (h *Host) RestoreVM(cfg VMConfig, st arch.MachineState, mem *memory.GuestMe
 	if mem == nil {
 		return nil, fmt.Errorf("host %q: restore %q with nil memory", h.hostName, cfg.Name)
 	}
-	if err := h.flavor.ValidateNative(st); err != nil {
+	if err := h.validateNative(st); err != nil {
 		return nil, fmt.Errorf("host %q: restore %q: %w", h.hostName, cfg.Name, err)
 	}
 	if !st.Features.IsSubsetOf(h.Features()) {
@@ -349,7 +477,7 @@ func (h *Host) SetMicrorebootGate(gate func() error) {
 // (chv has no such path) or when the injected gate says the attempt
 // failed (still healing, or the reboot itself wedged).
 func (h *Host) Microreboot() error {
-	if !h.flavor.Capabilities().Microreboot {
+	if !h.flavor.Caps.Microreboot {
 		return fmt.Errorf("host %q (%s): %w", h.hostName, h.Product(), ErrNoMicroreboot)
 	}
 	h.mu.Lock()

@@ -1,7 +1,9 @@
 // Package hypervisor defines the simulated virtualization substrate:
-// the Hypervisor interface implemented by internal/xen and internal/kvm,
-// the VM type shared by both, per-hypervisor cost models, and host
-// health states used for failure injection.
+// the Hypervisor interface, the Host that implements it for every
+// backend from the Flavor table the backend supplies (internal/xen,
+// internal/kvm, internal/chv, internal/qemukvm), the VM type they all
+// share, per-hypervisor cost models, and host health states used for
+// failure injection.
 //
 // The replication, migration and failover engines are written against
 // these interfaces only, exactly as HERE's user-mode components sit on
@@ -186,9 +188,10 @@ type Hypervisor interface {
 	// Costs reports the host's replication cost model.
 	Costs() CostModel
 	// Capabilities reports what this backend can do: state format,
-	// dirty-tracking granularity, snapshot/restore support, device
-	// naming scheme and CVE-surface flavor. Placement and replication
-	// consult this instead of switching on Kind.
+	// dirty-tracking granularity, snapshot/restore support, interrupt
+	// platform, device naming scheme and CVE-surface flavor. Placement,
+	// replication and translation consult this instead of switching on
+	// Kind.
 	Capabilities() Capabilities
 	// Clock reports the host's time source.
 	Clock() vclock.Clock

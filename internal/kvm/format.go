@@ -1,11 +1,8 @@
 package kvm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sort"
 
 	"github.com/here-ft/here/internal/arch"
 )
@@ -27,304 +24,115 @@ const (
 	secEnd      = "end"
 )
 
-// EncodeState serializes KVM-flavored machine state to the sectioned
-// image format.
-func (f flavor) EncodeState(st arch.MachineState) ([]byte, error) {
-	if err := f.ValidateNative(st); err != nil {
-		return nil, fmt.Errorf("kvm encode: %w", err)
+// encodeState writes the sectioned image.
+func encodeState(st arch.MachineState) ([]byte, error) {
+	w := arch.NewWriter(binary.BigEndian, formatMagic)
+	section := func(name string, fill func()) {
+		w.U8(uint64(len(name)))
+		w.Raw(name)
+		hole := w.Hole()
+		fill()
+		w.Fill(hole)
 	}
-	var out bytes.Buffer
-	out.WriteString(formatMagic)
-
-	writeSection(&out, secFeatures, func(b *bytes.Buffer) {
-		be(b, uint64(st.Features))
-	})
-	writeSection(&out, secClock, func(b *bytes.Buffer) {
+	section(secFeatures, func() { w.U64(uint64(st.Features)) })
+	section(secClock, func() {
 		// Note the deliberate layout differences from the Xen stream:
 		// kHz granularity, wall clock before monotonic clock.
-		be(b, uint32(st.Timers.TSCFrequencyHz/1000)) // KVM_SET_TSC_KHZ
-		be(b, st.Timers.WallClockSec)
-		be(b, st.Timers.WallClockNSec)
-		be(b, st.Timers.SystemTimeNS)
+		w.U32(st.Timers.TSCFrequencyHz / 1000) // KVM_SET_TSC_KHZ
+		w.U64(st.Timers.WallClockSec)
+		w.U32(uint64(st.Timers.WallClockNSec))
+		w.U64(st.Timers.SystemTimeNS)
 	})
-	writeSection(&out, secIOAPIC, func(b *bytes.Buffer) {
-		be(b, uint16(len(st.IRQChip.Pending)))
+	section(secIOAPIC, func() {
+		w.U16(uint64(len(st.IRQChip.Pending)))
 		for _, bind := range st.IRQChip.Pending {
-			be(b, bind.Vector) // GSI first, then source — reversed vs Xen
-			beStr(b, bind.Source)
-			be(b, boolByte(bind.Masked))
+			w.U32(uint64(bind.Vector)) // GSI first, then source — reversed vs Xen
+			w.Str(bind.Source)
+			w.Bool(bind.Masked)
 		}
 	})
 	for _, v := range st.VCPUs {
-		v := v
-		writeSection(&out, secCPU, func(b *bytes.Buffer) {
-			be(b, uint16(v.ID))
-			be(b, v.TSC)
-			be(b, boolByte(v.Halt))
-			be(b, v.Index)
-			be(b, v.Regs)
-			be(b, v.APIC.ID)
-			be(b, v.APIC.TPR)
-			be(b, v.APIC.TimerDiv) // div before count — reversed vs Xen
-			be(b, v.APIC.Timer)
-			beBytes(b, v.APIC.IRR) // IRR before ISR — reversed vs Xen
-			beBytes(b, v.APIC.ISR)
-			keys := make([]uint32, 0, len(v.MSRs))
-			for k := range v.MSRs {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			be(b, uint16(len(keys)))
-			for _, k := range keys {
-				be(b, k)
-				be(b, v.MSRs[k])
-			}
+		section(secCPU, func() {
+			w.U16(uint64(v.ID))
+			w.U64(v.TSC)
+			w.Bool(v.Halt)
+			w.U32(uint64(v.Index))
+			w.Registers(v.Regs)
+			w.U32(uint64(v.APIC.ID))
+			w.U32(uint64(v.APIC.TPR))
+			w.U32(uint64(v.APIC.TimerDiv)) // div before count — reversed vs Xen
+			w.U64(v.APIC.Timer)
+			w.Bytes(2, v.APIC.IRR) // IRR before ISR — reversed vs Xen
+			w.Bytes(2, v.APIC.ISR)
+			w.MSRs(2, v.MSRs)
 		})
 	}
 	for _, d := range st.Devices {
-		d := d
-		writeSection(&out, secDevice, func(b *bytes.Buffer) {
-			beStr(b, d.ID)
-			beStr(b, d.Model)
-			be(b, uint8(d.Class))
-			beStr(b, d.MAC)
-			be(b, uint16(d.MTU))
-			be(b, d.CapacityB)
-			be(b, boolByte(d.WriteBack))
-			be(b, uint16(d.InFlight))
+		section(secDevice, func() {
+			w.Str(d.ID)
+			w.Str(d.Model)
+			w.U8(uint64(d.Class))
+			w.Str(d.MAC)
+			w.U16(uint64(d.MTU))
+			w.U64(d.CapacityB)
+			w.Bool(d.WriteBack)
+			w.U16(uint64(d.InFlight))
 		})
 	}
-	writeSection(&out, secEnd, func(*bytes.Buffer) {})
-	return out.Bytes(), nil
+	section(secEnd, func() {})
+	return w.Finish()
 }
 
-// DecodeState parses a kvmtool save image.
-func (f flavor) DecodeState(data []byte) (arch.MachineState, error) {
+// decodeState parses a sectioned image. Bytes after the end section,
+// or after a section's payload inside it, are ignored.
+func decodeState(data []byte) (arch.MachineState, error) {
 	var st arch.MachineState
-	if len(data) < len(formatMagic) || string(data[:len(formatMagic)]) != formatMagic {
-		return st, fmt.Errorf("kvm decode: bad magic")
+	r := arch.NewReader(binary.BigEndian, data)
+	if string(r.Next(len(formatMagic))) != formatMagic {
+		return st, fmt.Errorf("bad magic")
 	}
-	r := bytes.NewReader(data[len(formatMagic):])
-	sawEnd := false
-	for !sawEnd {
-		name, payload, err := readSection(r)
-		if err != nil {
-			return st, fmt.Errorf("kvm decode: %w", err)
+	for {
+		name := string(r.Next(int(r.U8())))
+		payload := r.Next(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return st, fmt.Errorf("section header: %w", err)
 		}
-		p := bytes.NewReader(payload)
+		p := arch.NewReader(binary.BigEndian, payload)
 		switch name {
 		case secFeatures:
-			var fs uint64
-			err = binary.Read(p, binary.BigEndian, &fs)
-			st.Features = arch.FeatureSet(fs)
+			st.Features = arch.FeatureSet(p.U64())
 		case secClock:
-			var khz uint32
-			if err = readAllBE(p, &khz, &st.Timers.WallClockSec,
-				&st.Timers.WallClockNSec, &st.Timers.SystemTimeNS); err == nil {
-				st.Timers.TSCFrequencyHz = uint64(khz) * 1000
+			st.Timers = arch.TimerState{
+				TSCFrequencyHz: uint64(p.U32()) * 1000,
+				WallClockSec:   p.U64(),
+				WallClockNSec:  p.U32(),
+				SystemTimeNS:   p.U64(),
 			}
 		case secIOAPIC:
 			st.IRQChip.Kind = arch.IRQChipIOAPIC
-			var n uint16
-			if err = binary.Read(p, binary.BigEndian, &n); err != nil {
-				break
-			}
-			for i := uint16(0); i < n && err == nil; i++ {
-				var bind arch.IRQBinding
-				var masked uint8
-				if err = binary.Read(p, binary.BigEndian, &bind.Vector); err != nil {
-					break
-				}
-				if bind.Source, err = beReadStr(p); err != nil {
-					break
-				}
-				if err = binary.Read(p, binary.BigEndian, &masked); err != nil {
-					break
-				}
-				bind.Masked = masked != 0
-				st.IRQChip.Pending = append(st.IRQChip.Pending, bind)
+			for n := p.U16(); n > 0 && p.Err() == nil; n-- {
+				st.IRQChip.Pending = append(st.IRQChip.Pending,
+					arch.IRQBinding{Vector: p.U32(), Source: p.Str(), Masked: p.Bool()})
 			}
 		case secCPU:
-			var v arch.VCPUState
-			v, err = decodeCPU(p)
-			if err == nil {
-				st.VCPUs = append(st.VCPUs, v)
-			}
+			v := arch.VCPUState{ID: int(p.U16()), TSC: p.U64(), Halt: p.Bool(), Index: p.U32(), Regs: p.Registers()}
+			v.APIC = arch.APICState{ID: p.U32(), TPR: p.U32(), TimerDiv: p.U32(), Timer: p.U64()}
+			v.APIC.IRR = p.Bytes(2)
+			v.APIC.ISR = p.Bytes(2)
+			v.MSRs = p.MSRs(2)
+			st.VCPUs = append(st.VCPUs, v)
 		case secDevice:
-			var d arch.DeviceState
-			d, err = decodeDevice(p)
-			if err == nil {
-				st.Devices = append(st.Devices, d)
-			}
+			st.Devices = append(st.Devices, arch.DeviceState{
+				ID: p.Str(), Model: p.Str(), Class: arch.DeviceClass(p.U8()), MAC: p.Str(),
+				MTU: int(p.U16()), CapacityB: p.U64(), WriteBack: p.Bool(), InFlight: int(p.U16()),
+			})
 		case secEnd:
-			sawEnd = true
+			return st, nil
 		default:
-			return st, fmt.Errorf("kvm decode: unknown section %q", name)
+			return st, fmt.Errorf("unknown section %q", name)
 		}
-		if err != nil {
-			return st, fmt.Errorf("kvm decode: section %q: %w", name, err)
-		}
-	}
-	if err := f.ValidateNative(st); err != nil {
-		return st, fmt.Errorf("kvm decode: %w", err)
-	}
-	return st, nil
-}
-
-func decodeCPU(p *bytes.Reader) (arch.VCPUState, error) {
-	var v arch.VCPUState
-	var id uint16
-	var halt uint8
-	if err := readAllBE(p, &id, &v.TSC, &halt, &v.Index); err != nil {
-		return v, err
-	}
-	v.ID = int(id)
-	v.Halt = halt != 0
-	if err := binary.Read(p, binary.BigEndian, &v.Regs); err != nil {
-		return v, err
-	}
-	if err := readAllBE(p, &v.APIC.ID, &v.APIC.TPR, &v.APIC.TimerDiv, &v.APIC.Timer); err != nil {
-		return v, err
-	}
-	var err error
-	if v.APIC.IRR, err = beReadBytes(p); err != nil {
-		return v, err
-	}
-	if v.APIC.ISR, err = beReadBytes(p); err != nil {
-		return v, err
-	}
-	var nMSRs uint16
-	if err := binary.Read(p, binary.BigEndian, &nMSRs); err != nil {
-		return v, err
-	}
-	if nMSRs > 0 {
-		v.MSRs = make(map[uint32]uint64, nMSRs)
-		for i := uint16(0); i < nMSRs; i++ {
-			var k uint32
-			var val uint64
-			if err := readAllBE(p, &k, &val); err != nil {
-				return v, err
-			}
-			v.MSRs[k] = val
+		if err := p.Err(); err != nil {
+			return st, fmt.Errorf("section %q: %w", name, err)
 		}
 	}
-	return v, nil
-}
-
-func decodeDevice(p *bytes.Reader) (arch.DeviceState, error) {
-	var d arch.DeviceState
-	var err error
-	if d.ID, err = beReadStr(p); err != nil {
-		return d, err
-	}
-	if d.Model, err = beReadStr(p); err != nil {
-		return d, err
-	}
-	var class uint8
-	if err := binary.Read(p, binary.BigEndian, &class); err != nil {
-		return d, err
-	}
-	d.Class = arch.DeviceClass(class)
-	if d.MAC, err = beReadStr(p); err != nil {
-		return d, err
-	}
-	var mtu, inflight uint16
-	var wb uint8
-	if err := readAllBE(p, &mtu, &d.CapacityB, &wb, &inflight); err != nil {
-		return d, err
-	}
-	d.MTU = int(mtu)
-	d.WriteBack = wb != 0
-	d.InFlight = int(inflight)
-	return d, nil
-}
-
-func writeSection(out *bytes.Buffer, name string, fill func(*bytes.Buffer)) {
-	var payload bytes.Buffer
-	fill(&payload)
-	out.WriteByte(uint8(len(name)))
-	out.WriteString(name)
-	be(out, uint32(payload.Len()))
-	out.Write(payload.Bytes())
-}
-
-func readSection(r *bytes.Reader) (name string, payload []byte, err error) {
-	nameLen, err := r.ReadByte()
-	if err != nil {
-		return "", nil, fmt.Errorf("section name length: %w", err)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("section name: %w", err)
-	}
-	var length uint32
-	if err := binary.Read(r, binary.BigEndian, &length); err != nil {
-		return "", nil, fmt.Errorf("section %q length: %w", nameBuf, err)
-	}
-	if int64(length) > int64(r.Len()) {
-		return "", nil, fmt.Errorf("section %q length %d exceeds remaining input %d",
-			nameBuf, length, r.Len())
-	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("section %q payload: %w", nameBuf, err)
-	}
-	return string(nameBuf), payload, nil
-}
-
-func be(b *bytes.Buffer, v any) {
-	_ = binary.Write(b, binary.BigEndian, v)
-}
-
-func beStr(b *bytes.Buffer, s string) {
-	be(b, uint16(len(s)))
-	b.WriteString(s)
-}
-
-func beBytes(b *bytes.Buffer, p []byte) {
-	be(b, uint16(len(p)))
-	b.Write(p)
-}
-
-func beReadStr(r *bytes.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func beReadBytes(r *bytes.Reader) ([]byte, error) {
-	var n uint16
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func readAllBE(r *bytes.Reader, dsts ...any) error {
-	for _, d := range dsts {
-		if err := binary.Read(r, binary.BigEndian, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -8,7 +8,6 @@
 package kvm
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/here-ft/here/internal/arch"
@@ -31,12 +30,13 @@ func init() {
 
 // New returns a host machine running the simulated KVM hypervisor.
 func New(hostName string, clock vclock.Clock) (*hypervisor.Host, error) {
-	return hypervisor.NewHost(flavor{}, hostName, clock)
+	return hypervisor.NewHost(flavor, hostName, clock)
 }
 
-// Flavor exposes the kvmtool flavor for wrappers (internal/qemukvm
-// reuses everything but the product identity).
-func Flavor() hypervisor.Flavor { return flavor{} }
+// Flavor returns a copy of the kvmtool flavor for backends that differ
+// from it in a field or two (internal/qemukvm changes only its product
+// identity).
+func Flavor() hypervisor.Flavor { return flavor }
 
 // Features reports the CPUID feature set the simulated KVM/kvmtool
 // exposes. kvmtool exposes x2APIC and TSC-deadline but masks
@@ -56,35 +56,15 @@ func Features() arch.FeatureSet {
 // devices; lines below are legacy ISA interrupts.
 const FirstGSI = 16
 
-type flavor struct{}
-
-var _ hypervisor.Flavor = flavor{}
-
-func (flavor) Kind() hypervisor.Kind     { return hypervisor.KindKVM }
-func (flavor) Product() string           { return Product }
-func (flavor) Features() arch.FeatureSet { return Features() }
-
-// DeviceModel maps a device class to kvmtool's virtio model names.
-func (flavor) DeviceModel(class arch.DeviceClass) (string, error) {
-	switch class {
-	case arch.DeviceNet:
-		return "virtio-net", nil
-	case arch.DeviceBlock:
-		return "virtio-blk", nil
-	case arch.DeviceConsole:
-		return "virtio-console", nil
-	default:
-		return "", fmt.Errorf("kvm: no device model for class %v", class)
-	}
-}
-
-// Costs reports KVM/kvmtool's replication cost model. kvmtool's thin
-// userspace makes pause/resume and device plug cheap — this is why the
-// paper measures replica resumption in single-digit milliseconds
-// (Fig 7) and attributes it to "the more efficient userspace
-// component kvmtool".
-func (flavor) Costs() hypervisor.CostModel {
-	return hypervisor.CostModel{
+var flavor = hypervisor.Flavor{
+	Kind:     hypervisor.KindKVM,
+	Product:  Product,
+	Features: Features(),
+	// kvmtool's thin userspace makes pause/resume and device plug
+	// cheap — this is why the paper measures replica resumption in
+	// single-digit milliseconds (Fig 7) and attributes it to "the more
+	// efficient userspace component kvmtool".
+	Costs: hypervisor.CostModel{
 		PauseVM:              150 * time.Microsecond,
 		ResumeVM:             350 * time.Microsecond,
 		DevicePlug:           1200 * time.Microsecond,
@@ -95,15 +75,12 @@ func (flavor) Costs() hypervisor.CostModel {
 		ResumeWarmup:         40 * time.Millisecond,
 		CompressPerDirtyPage: 2 * time.Microsecond,
 		StateRecord:          250 * time.Microsecond,
-	}
-}
-
-// Capabilities describes the KVM/kvmtool backend: sectioned kvmtool
-// save images, PML-fed per-vCPU dirty rings, full snapshot/restore,
-// virtio device naming, and the kvm-core-only CVE surface that makes
-// it the paper's secondary of choice.
-func (flavor) Capabilities() hypervisor.Capabilities {
-	return hypervisor.Capabilities{
+	},
+	// Sectioned kvmtool save images, PML-fed per-vCPU dirty rings,
+	// full snapshot/restore, IOAPIC GSIs from FirstGSI, virtio device
+	// naming, and the kvm-core-only CVE surface that makes it the
+	// paper's secondary of choice.
+	Caps: hypervisor.Capabilities{
 		StateFormat:  "kvmtool-sections",
 		StateVersion: 2,
 		DirtyTracking: hypervisor.DirtyTracking{
@@ -112,103 +89,18 @@ func (flavor) Capabilities() hypervisor.Capabilities {
 		},
 		SnapshotRestore: true,
 		LiveDirtyLog:    true,
+		IRQChip:         arch.IRQChipIOAPIC,
+		FirstVector:     FirstGSI,
 		DeviceNaming:    "kvmtool-virtio",
 		// kexec-based in-place kernel reboot with guest RAM preserved.
 		Microreboot: true,
 		VulnFlavor:  vulns.FlavorKVM,
-	}
-}
-
-// NewMachineState builds the boot-time machine state of a fresh
-// kvmtool guest: IOAPIC interrupt delivery and virtio device models on
-// consecutive GSIs.
-func (f flavor) NewMachineState(cfg hypervisor.VMConfig) (arch.MachineState, error) {
-	features := Features()
-	if cfg.Features != 0 {
-		if !cfg.Features.IsSubsetOf(features) {
-			return arch.MachineState{}, fmt.Errorf("kvm: requested features %v exceed host support", cfg.Features)
-		}
-		features = cfg.Features
-	}
-	st := arch.MachineState{
-		Features: features,
-		Timers: arch.TimerState{
-			TSCFrequencyHz: 2_100_000_000,
-		},
-		IRQChip: arch.IRQChipState{Kind: arch.IRQChipIOAPIC},
-	}
-	st.VCPUs = make([]arch.VCPUState, cfg.VCPUs)
-	for i := range st.VCPUs {
-		st.VCPUs[i] = bootVCPU(i)
-	}
-	gsi := uint32(FirstGSI)
-	for _, spec := range cfg.Devices {
-		model, err := f.DeviceModel(spec.Class)
-		if err != nil {
-			return arch.MachineState{}, err
-		}
-		dev := arch.DeviceState{
-			Class:     spec.Class,
-			ID:        spec.ID,
-			Model:     model,
-			MAC:       spec.MAC,
-			MTU:       spec.MTU,
-			CapacityB: spec.CapacityB,
-		}
-		if dev.Class == arch.DeviceNet && dev.MTU == 0 {
-			dev.MTU = 1500
-		}
-		st.Devices = append(st.Devices, dev)
-		st.IRQChip.Pending = append(st.IRQChip.Pending, arch.IRQBinding{
-			Source: spec.ID,
-			Vector: gsi,
-		})
-		gsi++
-	}
-	return st, nil
-}
-
-func bootVCPU(id int) arch.VCPUState {
-	flat := arch.Segment{Selector: 0x10, Base: 0, Limit: 0xFFFFFFFF, Flags: 0xA09B}
-	return arch.VCPUState{
-		ID: id,
-		Regs: arch.Registers{
-			RIP:    0x1000000,
-			RSP:    0x7FF0_0000 - uint64(id)*0x10000,
-			RFLAGS: 0x2,
-			CR0:    0x8005_0033,
-			CR3:    0x1000,
-			CR4:    0x3406E0,
-			EFER:   0x500,
-			CS:     flat, DS: flat, ES: flat, FS: flat, GS: flat, SS: flat,
-		},
-		MSRs: map[uint32]uint64{
-			0xC0000080: 0x500,
-			0xC0000100: 0,
-			0xC0000101: 0,
-		},
-		APIC: arch.APICState{ID: uint32(id)},
-	}
-}
-
-// ValidateNative checks that machine state is KVM-flavored: IOAPIC
-// interrupt delivery and virtio device models only.
-func (flavor) ValidateNative(st arch.MachineState) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	if st.IRQChip.Kind != arch.IRQChipIOAPIC {
-		return fmt.Errorf("kvm: irqchip %v is not ioapic", st.IRQChip.Kind)
-	}
-	for _, d := range st.Devices {
-		switch d.Model {
-		case "virtio-net", "virtio-blk", "virtio-console":
-		default:
-			return fmt.Errorf("kvm: device %q has non-virtio model %q", d.ID, d.Model)
-		}
-	}
-	if !st.Features.IsSubsetOf(Features()) {
-		return fmt.Errorf("kvm: state requires unsupported features")
-	}
-	return nil
+	},
+	Models: map[arch.DeviceClass]string{
+		arch.DeviceNet:     "virtio-net",
+		arch.DeviceBlock:   "virtio-blk",
+		arch.DeviceConsole: "virtio-console",
+	},
+	Encode: encodeState,
+	Decode: decodeState,
 }

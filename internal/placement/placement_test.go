@@ -109,19 +109,17 @@ func TestChainAvoidsFlavorDoubling(t *testing.T) {
 
 // noRestoreFlavor simulates a backend that can run guests but not
 // restore snapshots (e.g. a live-migration-only stack).
-type noRestoreFlavor struct{ hypervisor.Flavor }
-
-func (f noRestoreFlavor) Capabilities() hypervisor.Capabilities {
-	caps := f.Flavor.Capabilities()
-	caps.SnapshotRestore = false
-	return caps
+func noRestoreFlavor() hypervisor.Flavor {
+	f := kvm.Flavor()
+	f.Caps.SnapshotRestore = false
+	return f
 }
 
 func TestTypedRejections(t *testing.T) {
 	clk := vclock.NewSim()
 	down := mkHost(t, kvm.Backend, "down", clk)
 	down.Fail(hypervisor.Crashed, "test")
-	norestore, err := hypervisor.NewHost(noRestoreFlavor{kvm.Flavor()}, "norestore", clk)
+	norestore, err := hypervisor.NewHost(noRestoreFlavor(), "norestore", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestWarmHostOutranksLoadOnly(t *testing.T) {
 		}, placement.Config{}, "a", placement.RejectUnhealthy},
 		{"host full", loaded(kvm.Backend, 3), placement.Config{MaxVMs: 3}, "a", placement.RejectHostFull},
 		{"no restore", func(clk vclock.Clock) *hypervisor.Host {
-			h, err := hypervisor.NewHost(noRestoreFlavor{kvm.Flavor()}, "w", clk)
+			h, err := hypervisor.NewHost(noRestoreFlavor(), "w", clk)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@
 package qemukvm
 
 import (
-	"github.com/here-ft/here/internal/arch"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/vclock"
@@ -33,51 +32,18 @@ func init() {
 
 // New returns a host machine running KVM with the QEMU device model.
 func New(hostName string, clock vclock.Clock) (*hypervisor.Host, error) {
-	return hypervisor.NewHost(flavor{base: kvm.Flavor()}, hostName, clock)
+	return hypervisor.NewHost(flavor(), hostName, clock)
 }
 
-// flavor behaves exactly like the kvmtool flavor except for its
-// product identity — the vulnerability-surface difference is the
-// entire point.
-type flavor struct {
-	base hypervisor.Flavor
-}
-
-var _ hypervisor.Flavor = flavor{}
-
-func (f flavor) Kind() hypervisor.Kind     { return f.base.Kind() }
-func (f flavor) Product() string           { return Product }
-func (f flavor) Features() arch.FeatureSet { return f.base.Features() }
-
-func (f flavor) DeviceModel(class arch.DeviceClass) (string, error) {
-	return f.base.DeviceModel(class)
-}
-
-func (f flavor) Costs() hypervisor.CostModel { return f.base.Costs() }
-
-// Capabilities mirrors the kvmtool backend mechanically but swaps the
-// device naming and CVE-surface flavor: the QEMU userspace drags the
-// entire QEMU vulnerability history into this deployment, which is
-// exactly what the placement engine scores against.
-func (f flavor) Capabilities() hypervisor.Capabilities {
-	caps := f.base.Capabilities()
-	caps.DeviceNaming = "qemu-virtio"
-	caps.VulnFlavor = vulns.FlavorQEMUKVM
-	return caps
-}
-
-func (f flavor) NewMachineState(cfg hypervisor.VMConfig) (arch.MachineState, error) {
-	return f.base.NewMachineState(cfg)
-}
-
-func (f flavor) ValidateNative(st arch.MachineState) error {
-	return f.base.ValidateNative(st)
-}
-
-func (f flavor) EncodeState(st arch.MachineState) ([]byte, error) {
-	return f.base.EncodeState(st)
-}
-
-func (f flavor) DecodeState(b []byte) (arch.MachineState, error) {
-	return f.base.DecodeState(b)
+// flavor is the kvmtool flavor with its product identity swapped: the
+// same devices, save format and costs, but the device naming and the
+// CVE surface of the QEMU userspace, which drags the entire QEMU
+// vulnerability history into this deployment — exactly what the
+// placement engine scores against.
+func flavor() hypervisor.Flavor {
+	f := kvm.Flavor()
+	f.Product = Product
+	f.Caps.DeviceNaming = "qemu-virtio"
+	f.Caps.VulnFlavor = vulns.FlavorQEMUKVM
+	return f
 }

@@ -15,9 +15,7 @@ import (
 	"fmt"
 
 	"github.com/here-ft/here/internal/arch"
-	"github.com/here-ft/here/internal/chv"
 	"github.com/here-ft/here/internal/hypervisor"
-	"github.com/here-ft/here/internal/kvm"
 )
 
 // Errors reported by the translator.
@@ -93,35 +91,18 @@ func Translate(st arch.MachineState, src, dst hypervisor.Hypervisor, opts Option
 
 	// Interrupt controller conversion: rebind every interrupt source
 	// onto the destination's delivery mechanism, preserving source
-	// association, ordering and mask state.
-	out.IRQChip = convertIRQChip(out.IRQChip, dst.Kind())
+	// association, ordering and mask state. The destination's
+	// capabilities name its platform and first device vector.
+	caps := dst.Capabilities()
+	out.IRQChip.Kind = caps.IRQChip
+	for i := range out.IRQChip.Pending {
+		out.IRQChip.Pending[i].Vector = caps.FirstVector + uint32(i)
+	}
 
 	// vCPU registers and timers transfer through the common format
 	// unchanged; the native codecs handle representation differences
 	// (e.g. KVM's kHz-granular TSC frequency).
 	return out, nil
-}
-
-func convertIRQChip(in arch.IRQChipState, dstKind hypervisor.Kind) arch.IRQChipState {
-	out := in.Clone()
-	switch dstKind {
-	case hypervisor.KindKVM:
-		out.Kind = arch.IRQChipIOAPIC
-		for i := range out.Pending {
-			out.Pending[i].Vector = uint32(kvm.FirstGSI + i)
-		}
-	case hypervisor.KindCHV:
-		out.Kind = arch.IRQChipIOAPIC
-		for i := range out.Pending {
-			out.Pending[i].Vector = uint32(chv.FirstGSI + i)
-		}
-	case hypervisor.KindXen:
-		out.Kind = arch.IRQChipEventChannel
-		for i := range out.Pending {
-			out.Pending[i].Vector = uint32(1 + i) // port 0 is reserved
-		}
-	}
-	return out
 }
 
 // TranslateImage converts a native save image from src's wire format

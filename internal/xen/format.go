@@ -1,11 +1,8 @@
 package xen
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sort"
 
 	"github.com/here-ft/here/internal/arch"
 )
@@ -26,301 +23,115 @@ const (
 	recEnd      uint32 = 0xFFFFFFFF
 )
 
-// EncodeState serializes Xen-flavored machine state to the save
-// stream format.
-func (f flavor) EncodeState(st arch.MachineState) ([]byte, error) {
-	if err := f.ValidateNative(st); err != nil {
-		return nil, fmt.Errorf("xen encode: %w", err)
+// encodeState writes the save stream.
+func encodeState(st arch.MachineState) ([]byte, error) {
+	w := arch.NewWriter(binary.LittleEndian, formatMagic)
+	record := func(typ uint32, fill func()) {
+		w.U32(uint64(typ))
+		hole := w.Hole()
+		fill()
+		w.Fill(hole)
+		w.Pad(8)
 	}
-	var out bytes.Buffer
-	out.WriteString(formatMagic)
-
-	writeRecord(&out, recFeatures, func(b *bytes.Buffer) {
-		le(b, uint64(st.Features))
+	record(recFeatures, func() { w.U64(uint64(st.Features)) })
+	record(recTimers, func() {
+		w.U64(st.Timers.TSCFrequencyHz)
+		w.U64(st.Timers.SystemTimeNS)
+		w.U64(st.Timers.WallClockSec)
+		w.U32(uint64(st.Timers.WallClockNSec))
 	})
-	writeRecord(&out, recTimers, func(b *bytes.Buffer) {
-		le(b, st.Timers.TSCFrequencyHz)
-		le(b, st.Timers.SystemTimeNS)
-		le(b, st.Timers.WallClockSec)
-		le(b, st.Timers.WallClockNSec)
-	})
-	writeRecord(&out, recIRQChip, func(b *bytes.Buffer) {
-		le(b, uint32(len(st.IRQChip.Pending)))
+	record(recIRQChip, func() {
+		w.U32(uint64(len(st.IRQChip.Pending)))
 		for _, bind := range st.IRQChip.Pending {
-			leStr(b, bind.Source)
-			le(b, bind.Vector)
-			le(b, boolByte(bind.Masked))
+			w.Str(bind.Source)
+			w.U32(uint64(bind.Vector))
+			w.Bool(bind.Masked)
 		}
 	})
 	for _, v := range st.VCPUs {
-		v := v
-		writeRecord(&out, recVCPU, func(b *bytes.Buffer) {
-			le(b, uint32(v.ID))
-			le(b, v.Regs)
-			le(b, v.TSC)
-			le(b, boolByte(v.Halt))
-			le(b, v.Index)
-			le(b, v.APIC.ID)
-			le(b, v.APIC.TPR)
-			le(b, v.APIC.Timer)
-			le(b, v.APIC.TimerDiv)
-			leBytes(b, v.APIC.ISR)
-			leBytes(b, v.APIC.IRR)
-			keys := make([]uint32, 0, len(v.MSRs))
-			for k := range v.MSRs {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			le(b, uint32(len(keys)))
-			for _, k := range keys {
-				le(b, k)
-				le(b, v.MSRs[k])
-			}
+		record(recVCPU, func() {
+			w.U32(uint64(v.ID))
+			w.Registers(v.Regs)
+			w.U64(v.TSC)
+			w.Bool(v.Halt)
+			w.U32(uint64(v.Index))
+			w.U32(uint64(v.APIC.ID))
+			w.U32(uint64(v.APIC.TPR))
+			w.U64(v.APIC.Timer)
+			w.U32(uint64(v.APIC.TimerDiv))
+			w.Bytes(4, v.APIC.ISR)
+			w.Bytes(4, v.APIC.IRR)
+			w.MSRs(4, v.MSRs)
 		})
 	}
 	for _, d := range st.Devices {
-		d := d
-		writeRecord(&out, recDevice, func(b *bytes.Buffer) {
-			le(b, uint32(d.Class))
-			leStr(b, d.ID)
-			leStr(b, d.Model)
-			leStr(b, d.MAC)
-			le(b, uint32(d.MTU))
-			le(b, d.CapacityB)
-			le(b, boolByte(d.WriteBack))
-			le(b, uint32(d.InFlight))
+		record(recDevice, func() {
+			w.U32(uint64(d.Class))
+			w.Str(d.ID)
+			w.Str(d.Model)
+			w.Str(d.MAC)
+			w.U32(uint64(d.MTU))
+			w.U64(d.CapacityB)
+			w.Bool(d.WriteBack)
+			w.U32(uint64(d.InFlight))
 		})
 	}
-	writeRecord(&out, recEnd, func(*bytes.Buffer) {})
-	return out.Bytes(), nil
+	record(recEnd, func() {})
+	return w.Finish()
 }
 
-// DecodeState parses a Xen save stream.
-func (f flavor) DecodeState(data []byte) (arch.MachineState, error) {
+// decodeState parses a save stream. Bytes after the END record, or
+// after a record's payload inside it, are ignored.
+func decodeState(data []byte) (arch.MachineState, error) {
 	var st arch.MachineState
-	if len(data) < len(formatMagic) || string(data[:len(formatMagic)]) != formatMagic {
-		return st, fmt.Errorf("xen decode: bad magic")
+	r := arch.NewReader(binary.LittleEndian, data)
+	if string(r.Next(len(formatMagic))) != formatMagic {
+		return st, fmt.Errorf("bad magic")
 	}
-	r := bytes.NewReader(data[len(formatMagic):])
-	sawEnd := false
-	for !sawEnd {
-		var typ, length uint32
-		if err := binary.Read(r, binary.LittleEndian, &typ); err != nil {
-			return st, fmt.Errorf("xen decode: record header: %w", err)
+	for {
+		typ := r.U32()
+		payload := r.Next(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return st, fmt.Errorf("record header: %w", err)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &length); err != nil {
-			return st, fmt.Errorf("xen decode: record length: %w", err)
-		}
-		if int64(length) > int64(r.Len()) {
-			return st, fmt.Errorf("xen decode: record length %d exceeds remaining input %d",
-				length, r.Len())
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return st, fmt.Errorf("xen decode: record payload: %w", err)
-		}
-		if pad := (8 - int(length)%8) % 8; pad > 0 {
-			if _, err := r.Seek(int64(pad), io.SeekCurrent); err != nil {
-				return st, fmt.Errorf("xen decode: record padding: %w", err)
-			}
-		}
-		p := bytes.NewReader(payload)
-		var err error
+		// The padding of the last record may be cut short.
+		r.Next(min((8-len(payload)%8)%8, r.Len()))
+		p := arch.NewReader(binary.LittleEndian, payload)
 		switch typ {
 		case recFeatures:
-			var fs uint64
-			if err = binary.Read(p, binary.LittleEndian, &fs); err == nil {
-				st.Features = arch.FeatureSet(fs)
-			}
+			st.Features = arch.FeatureSet(p.U64())
 		case recTimers:
-			err = readAll(p,
-				&st.Timers.TSCFrequencyHz, &st.Timers.SystemTimeNS,
-				&st.Timers.WallClockSec, &st.Timers.WallClockNSec)
+			st.Timers = arch.TimerState{
+				TSCFrequencyHz: p.U64(),
+				SystemTimeNS:   p.U64(),
+				WallClockSec:   p.U64(),
+				WallClockNSec:  p.U32(),
+			}
 		case recIRQChip:
 			st.IRQChip.Kind = arch.IRQChipEventChannel
-			var n uint32
-			if err = binary.Read(p, binary.LittleEndian, &n); err != nil {
-				break
-			}
-			for i := uint32(0); i < n && err == nil; i++ {
-				var bind arch.IRQBinding
-				var masked uint8
-				if bind.Source, err = leReadStr(p); err != nil {
-					break
-				}
-				if err = readAll(p, &bind.Vector, &masked); err != nil {
-					break
-				}
-				bind.Masked = masked != 0
-				st.IRQChip.Pending = append(st.IRQChip.Pending, bind)
+			for n := p.U32(); n > 0 && p.Err() == nil; n-- {
+				st.IRQChip.Pending = append(st.IRQChip.Pending,
+					arch.IRQBinding{Source: p.Str(), Vector: p.U32(), Masked: p.Bool()})
 			}
 		case recVCPU:
-			var v arch.VCPUState
-			v, err = decodeVCPU(p)
-			if err == nil {
-				st.VCPUs = append(st.VCPUs, v)
-			}
+			v := arch.VCPUState{ID: int(p.U32()), Regs: p.Registers(), TSC: p.U64(), Halt: p.Bool(), Index: p.U32()}
+			v.APIC = arch.APICState{ID: p.U32(), TPR: p.U32(), Timer: p.U64(), TimerDiv: p.U32()}
+			v.APIC.ISR = p.Bytes(4)
+			v.APIC.IRR = p.Bytes(4)
+			v.MSRs = p.MSRs(4)
+			st.VCPUs = append(st.VCPUs, v)
 		case recDevice:
-			var d arch.DeviceState
-			d, err = decodeDevice(p)
-			if err == nil {
-				st.Devices = append(st.Devices, d)
-			}
+			st.Devices = append(st.Devices, arch.DeviceState{
+				Class: arch.DeviceClass(p.U32()), ID: p.Str(), Model: p.Str(), MAC: p.Str(),
+				MTU: int(p.U32()), CapacityB: p.U64(), WriteBack: p.Bool(), InFlight: int(p.U32()),
+			})
 		case recEnd:
-			sawEnd = true
+			return st, nil
 		default:
-			return st, fmt.Errorf("xen decode: unknown record type %#x", typ)
+			return st, fmt.Errorf("unknown record type %#x", typ)
 		}
-		if err != nil {
-			return st, fmt.Errorf("xen decode: record type %#x: %w", typ, err)
-		}
-	}
-	if err := f.ValidateNative(st); err != nil {
-		return st, fmt.Errorf("xen decode: %w", err)
-	}
-	return st, nil
-}
-
-func decodeVCPU(p *bytes.Reader) (arch.VCPUState, error) {
-	var v arch.VCPUState
-	var id uint32
-	if err := binary.Read(p, binary.LittleEndian, &id); err != nil {
-		return v, err
-	}
-	v.ID = int(id)
-	if err := binary.Read(p, binary.LittleEndian, &v.Regs); err != nil {
-		return v, err
-	}
-	var halt uint8
-	if err := readAll(p, &v.TSC, &halt, &v.Index,
-		&v.APIC.ID, &v.APIC.TPR, &v.APIC.Timer, &v.APIC.TimerDiv); err != nil {
-		return v, err
-	}
-	v.Halt = halt != 0
-	var err error
-	if v.APIC.ISR, err = leReadBytes(p); err != nil {
-		return v, err
-	}
-	if v.APIC.IRR, err = leReadBytes(p); err != nil {
-		return v, err
-	}
-	var nMSRs uint32
-	if err := binary.Read(p, binary.LittleEndian, &nMSRs); err != nil {
-		return v, err
-	}
-	if int64(nMSRs)*12 > int64(p.Len()) {
-		return v, fmt.Errorf("msr count %d exceeds remaining input %d", nMSRs, p.Len())
-	}
-	if nMSRs > 0 {
-		v.MSRs = make(map[uint32]uint64, nMSRs)
-		for i := uint32(0); i < nMSRs; i++ {
-			var k uint32
-			var val uint64
-			if err := readAll(p, &k, &val); err != nil {
-				return v, err
-			}
-			v.MSRs[k] = val
+		if err := p.Err(); err != nil {
+			return st, fmt.Errorf("record type %#x: %w", typ, err)
 		}
 	}
-	return v, nil
-}
-
-func decodeDevice(p *bytes.Reader) (arch.DeviceState, error) {
-	var d arch.DeviceState
-	var class uint32
-	if err := binary.Read(p, binary.LittleEndian, &class); err != nil {
-		return d, err
-	}
-	d.Class = arch.DeviceClass(class)
-	var err error
-	if d.ID, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	if d.Model, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	if d.MAC, err = leReadStr(p); err != nil {
-		return d, err
-	}
-	var mtu, inflight uint32
-	var wb uint8
-	if err := readAll(p, &mtu, &d.CapacityB, &wb, &inflight); err != nil {
-		return d, err
-	}
-	d.MTU = int(mtu)
-	d.WriteBack = wb != 0
-	d.InFlight = int(inflight)
-	return d, nil
-}
-
-func writeRecord(out *bytes.Buffer, typ uint32, fill func(*bytes.Buffer)) {
-	var payload bytes.Buffer
-	fill(&payload)
-	le(out, typ)
-	le(out, uint32(payload.Len()))
-	out.Write(payload.Bytes())
-	if pad := (8 - payload.Len()%8) % 8; pad > 0 {
-		out.Write(make([]byte, pad))
-	}
-}
-
-func le(b *bytes.Buffer, v any) {
-	// bytes.Buffer writes cannot fail; fixed-size values cannot fail to encode.
-	_ = binary.Write(b, binary.LittleEndian, v)
-}
-
-func leStr(b *bytes.Buffer, s string) {
-	le(b, uint16(len(s)))
-	b.WriteString(s)
-}
-
-func leBytes(b *bytes.Buffer, p []byte) {
-	le(b, uint32(len(p)))
-	b.Write(p)
-}
-
-func leReadStr(r *bytes.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func leReadBytes(r *bytes.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if int64(n) > int64(r.Len()) {
-		return nil, fmt.Errorf("byte array length %d exceeds remaining input %d", n, r.Len())
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func readAll(r *bytes.Reader, dsts ...any) error {
-	for _, d := range dsts {
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

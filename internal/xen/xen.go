@@ -6,7 +6,6 @@
 package xen
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/here-ft/here/internal/arch"
@@ -27,12 +26,9 @@ func init() {
 	hypervisor.Register(Backend, New)
 }
 
-// TSCFrequencyHz is the guest-visible TSC rate (Xeon Gold 6130, Table 3).
-const TSCFrequencyHz = 2_100_000_000
-
 // New returns a host machine running the simulated Xen hypervisor.
 func New(hostName string, clock vclock.Clock) (*hypervisor.Host, error) {
-	return hypervisor.NewHost(flavor{}, hostName, clock)
+	return hypervisor.NewHost(flavor, hostName, clock)
 }
 
 // Features reports the CPUID feature set the simulated Xen exposes to
@@ -49,34 +45,15 @@ func Features() arch.FeatureSet {
 	)
 }
 
-type flavor struct{}
-
-var _ hypervisor.Flavor = flavor{}
-
-func (flavor) Kind() hypervisor.Kind     { return hypervisor.KindXen }
-func (flavor) Product() string           { return Product }
-func (flavor) Features() arch.FeatureSet { return Features() }
-
-// DeviceModel maps a device class to Xen's PV frontend model names.
-func (flavor) DeviceModel(class arch.DeviceClass) (string, error) {
-	switch class {
-	case arch.DeviceNet:
-		return "xen-netfront", nil
-	case arch.DeviceBlock:
-		return "xen-blkfront", nil
-	case arch.DeviceConsole:
-		return "xen-console", nil
-	default:
-		return "", fmt.Errorf("xen: no device model for class %v", class)
-	}
-}
-
-// Costs reports Xen's replication cost model. The per-page mapping
-// cost reflects the serialized privcmd foreign-mapping path; the scan
-// cost reflects walking the log-dirty bitmap; state records go through
-// xl/libxl which is comparatively heavyweight.
-func (flavor) Costs() hypervisor.CostModel {
-	return hypervisor.CostModel{
+var flavor = hypervisor.Flavor{
+	Kind:     hypervisor.KindXen,
+	Product:  Product,
+	Features: Features(),
+	// The per-page mapping cost reflects the serialized privcmd
+	// foreign-mapping path; the scan cost reflects walking the
+	// log-dirty bitmap; state records go through xl/libxl which is
+	// comparatively heavyweight.
+	Costs: hypervisor.CostModel{
 		PauseVM:              300 * time.Microsecond,
 		ResumeVM:             900 * time.Microsecond,
 		DevicePlug:           2500 * time.Microsecond,
@@ -87,14 +64,11 @@ func (flavor) Costs() hypervisor.CostModel {
 		ResumeWarmup:         50 * time.Millisecond,
 		CompressPerDirtyPage: 2 * time.Microsecond,
 		StateRecord:          700 * time.Microsecond,
-	}
-}
-
-// Capabilities describes the Xen backend: libxc record stream, the
-// hypervisor-maintained log-dirty bitmap, full snapshot/restore, PV
-// device naming, and the Xen+QEMU CVE surface.
-func (flavor) Capabilities() hypervisor.Capabilities {
-	return hypervisor.Capabilities{
+	},
+	// libxc record stream, the hypervisor-maintained log-dirty bitmap,
+	// full snapshot/restore, PV event channels from port 1 (port 0 is
+	// reserved), PV device naming, and the Xen+QEMU CVE surface.
+	Caps: hypervisor.Capabilities{
 		StateFormat:  "xen-libxc-records",
 		StateVersion: 1,
 		DirtyTracking: hypervisor.DirtyTracking{
@@ -103,106 +77,19 @@ func (flavor) Capabilities() hypervisor.Capabilities {
 		},
 		SnapshotRestore: true,
 		LiveDirtyLog:    true,
+		IRQChip:         arch.IRQChipEventChannel,
+		FirstVector:     1,
 		DeviceNaming:    "xen-pv",
 		// ReHype's original host: the hypervisor microreboots while
 		// dom0 and guest memory stay resident.
 		Microreboot: true,
 		VulnFlavor:  vulns.FlavorXen,
-	}
-}
-
-// NewMachineState builds the boot-time machine state of a fresh Xen
-// domain: flat 64-bit segments, PV event-channel interrupt delivery,
-// and PV device models bound to consecutive event-channel ports.
-func (f flavor) NewMachineState(cfg hypervisor.VMConfig) (arch.MachineState, error) {
-	features := Features()
-	if cfg.Features != 0 {
-		if !cfg.Features.IsSubsetOf(features) {
-			return arch.MachineState{}, fmt.Errorf("xen: requested features %v exceed host support", cfg.Features)
-		}
-		features = cfg.Features
-	}
-	st := arch.MachineState{
-		Features: features,
-		Timers: arch.TimerState{
-			TSCFrequencyHz: TSCFrequencyHz,
-		},
-		IRQChip: arch.IRQChipState{Kind: arch.IRQChipEventChannel},
-	}
-	st.VCPUs = make([]arch.VCPUState, cfg.VCPUs)
-	for i := range st.VCPUs {
-		st.VCPUs[i] = bootVCPU(i)
-	}
-	port := uint32(1) // event channel port 0 is reserved
-	for _, spec := range cfg.Devices {
-		model, err := f.DeviceModel(spec.Class)
-		if err != nil {
-			return arch.MachineState{}, err
-		}
-		dev := arch.DeviceState{
-			Class:     spec.Class,
-			ID:        spec.ID,
-			Model:     model,
-			MAC:       spec.MAC,
-			MTU:       spec.MTU,
-			CapacityB: spec.CapacityB,
-		}
-		if dev.Class == arch.DeviceNet && dev.MTU == 0 {
-			dev.MTU = 1500
-		}
-		st.Devices = append(st.Devices, dev)
-		st.IRQChip.Pending = append(st.IRQChip.Pending, arch.IRQBinding{
-			Source: spec.ID,
-			Vector: port,
-		})
-		port++
-	}
-	return st, nil
-}
-
-func bootVCPU(id int) arch.VCPUState {
-	flat := arch.Segment{Selector: 0x10, Base: 0, Limit: 0xFFFFFFFF, Flags: 0xA09B}
-	return arch.VCPUState{
-		ID: id,
-		Regs: arch.Registers{
-			RIP:    0x1000000,
-			RSP:    0x7FF0_0000 - uint64(id)*0x10000,
-			RFLAGS: 0x2,
-			CR0:    0x8005_0033, // PE|MP|ET|NE|WP|AM|PG
-			CR3:    0x1000,
-			CR4:    0x3406E0,
-			EFER:   0x500, // LME|LMA
-			CS:     flat, DS: flat, ES: flat, FS: flat, GS: flat, SS: flat,
-		},
-		MSRs: map[uint32]uint64{
-			0xC0000080: 0x500, // IA32_EFER
-			0xC0000100: 0,     // FS base
-			0xC0000101: 0,     // GS base
-		},
-		APIC: arch.APICState{ID: uint32(id)},
-	}
-}
-
-// ValidateNative checks that machine state is Xen-flavored: event
-// channel interrupt delivery and PV device models only. Loading a
-// KVM-flavored state into Xen must fail — that is what makes the
-// state translator necessary.
-func (flavor) ValidateNative(st arch.MachineState) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	if st.IRQChip.Kind != arch.IRQChipEventChannel {
-		return fmt.Errorf("xen: irqchip %v is not event-channel", st.IRQChip.Kind)
-	}
-	for _, d := range st.Devices {
-		switch d.Model {
-		case "xen-netfront", "xen-blkfront", "xen-console":
-		default:
-			return fmt.Errorf("xen: device %q has non-PV model %q", d.ID, d.Model)
-		}
-	}
-	if !st.Features.IsSubsetOf(Features()) {
-		return fmt.Errorf("xen: state requires unsupported features")
-	}
-	return nil
+	},
+	Models: map[arch.DeviceClass]string{
+		arch.DeviceNet:     "xen-netfront",
+		arch.DeviceBlock:   "xen-blkfront",
+		arch.DeviceConsole: "xen-console",
+	},
+	Encode: encodeState,
+	Decode: decodeState,
 }
