@@ -1,6 +1,6 @@
 GO ?= go
 
-RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery
+RACE_PKGS = ./internal/replication ./internal/failover ./internal/faults ./internal/simnet ./internal/trace ./internal/wire ./internal/journal ./internal/orchestrator ./internal/controlplane ./internal/transport ./internal/placement ./internal/hypervisor ./internal/fleet ./internal/recovery ./cmd/hered
 
 .PHONY: check vet fmt build test race fuzz-smoke bench-smoke bench-transport bench-transport-smoke bench-trace bench-trace-smoke bench-reprotect bench-reprotect-smoke bench-api bench-api-smoke bench-tick bench-tick-smoke bench-state bench-state-smoke bench bench-gate loc trace-demo serve-demo transport-demo placement-demo recovery-demo
 

@@ -34,9 +34,7 @@ import (
 
 	"github.com/here-ft/here/internal/chv"
 	"github.com/here-ft/here/internal/controlplane"
-	"github.com/here-ft/here/internal/failover"
 	"github.com/here-ft/here/internal/fleet"
-	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/orchestrator"
@@ -53,18 +51,6 @@ func main() {
 		slog.Error("hered failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// daemonFleet is the union surface hered needs from the fleet it
-// runs: the control-plane API plus host wiring, fencing, and journal
-// recovery. The single-group *orchestrator.Manager (the default) and
-// the sharded *fleet.Scheduler (-fleet-groups > 1) both satisfy it.
-type daemonFleet interface {
-	controlplane.Orchestrator
-	AddHost(h *hypervisor.Host) error
-	AttachPeerServer(srv *transport.Server)
-	Guard() *failover.Guard
-	Recover() (orchestrator.RecoverReport, error)
 }
 
 // logfFor bridges the library's printf-style Logf hooks onto a
@@ -204,19 +190,9 @@ func run(args []string) error {
 			})
 		}
 	}
-	var mgr daemonFleet
-	if *fleetGroups > 1 {
-		sched, err := fleet.New(fleet.Config{Groups: *fleetGroups, Orchestrator: mcfg})
-		if err != nil {
-			return err
-		}
-		mgr = sched
-	} else {
-		m, err := orchestrator.New(mcfg)
-		if err != nil {
-			return err
-		}
-		mgr = m
+	mgr, err := fleet.New(fleet.Config{Groups: *fleetGroups, Orchestrator: mcfg})
+	if err != nil {
+		return err
 	}
 	if *peerListen != "" {
 		// Secondary side: accept checkpoint streams from a peer daemon.
@@ -311,6 +287,7 @@ func run(args []string) error {
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
 	logger.Info("fleet up",

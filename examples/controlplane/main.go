@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/here-ft/here/internal/controlplane"
+	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/orchestrator"
 	"github.com/here-ft/here/internal/trace"
@@ -47,10 +48,10 @@ func run(addr string, once bool) error {
 	// A 2+2 heterogeneous fleet on one simulated clock, all telemetry
 	// in one fleet-wide registry — exactly what cmd/hered assembles.
 	clock := vclock.NewSim()
-	mgr, err := orchestrator.New(orchestrator.Config{
+	mgr, err := fleet.New(fleet.Config{Groups: 1, Orchestrator: orchestrator.Config{
 		Clock:   clock,
 		Metrics: trace.NewRegistry(),
-	})
+	}})
 	if err != nil {
 		return err
 	}

@@ -335,13 +335,11 @@ type ProtectOptions struct {
 	DegradedMode bool
 	// NoTrace disables the epoch-scoped tracer (Trace() returns nil).
 	// Tracing is on by default; its overhead is a bounded ring write
-	// per span (see here-bench -only trace for the measured cost).
+	// per span (see here-bench -only trace for the measured cost). The
+	// ring keeps the last trace.DefaultCapacity events (older ones are
+	// overwritten and counted as dropped): at most 1 MiB, grown in
+	// 147-event (9.25 KiB) chunks as it records.
 	NoTrace bool
-	// TraceCapacity bounds the trace ring buffer (default 16384
-	// events; older events are overwritten and counted as dropped).
-	// The ring holds at most TraceCapacity × 64 B, 1 MiB at the
-	// default, and grows in 147-event (9.25 KiB) chunks as it records.
-	TraceCapacity int
 }
 
 // Protected is a VM under live replication.
@@ -365,7 +363,7 @@ func (c *Cluster) Protect(vm *VM, opts ProtectOptions) (*Protected, error) {
 	}
 	var tr *trace.Tracer
 	if !opts.NoTrace {
-		tr = trace.New(c.clock, opts.TraceCapacity)
+		tr = trace.New(c.clock, 0)
 	}
 	cfg := replication.Config{
 		Engine:       engine,

@@ -1,12 +1,12 @@
 // Package controlplane is hered's HTTP serving layer: a versioned
-// JSON REST API over an orchestrator.Manager, the role OpenStack and
-// libvirt play for the paper's deployment (§7.7). The server owns the
-// manager, drives its virtual-clock pump from a real-time ticker, and
-// adds what serving requires: admission control on the expensive
-// protect path, request-scoped timeouts on every route that can wait
-// (all but the two lock-free snapshot reads, GET /v1/vms and GET
-// /v1/vms/{name}), typed error envelopes, and a graceful shutdown that
-// quiesces the pump before closing listeners.
+// JSON REST API over a fleet.Scheduler, the role OpenStack and libvirt
+// play for the paper's deployment (§7.7). The server starts and stops
+// the scheduler's per-group pump, which advances the virtual clock in
+// real time, and adds what serving requires: admission control on the
+// expensive protect path, request-scoped timeouts on every route that
+// can wait (all but the two lock-free snapshot reads, GET /v1/vms and
+// GET /v1/vms/{name}), typed error envelopes, and a graceful shutdown
+// that quiesces the pump before closing listeners.
 //
 // Built entirely on the standard library (net/http); the wire types in
 // this file are shared by the server and the Client herectl uses.

@@ -45,9 +45,9 @@ type FleetResponse struct {
 	// recorded failure reason, so the rollup explains *why* capacity is
 	// missing, not just how much.
 	DownHosts []HostDTO `json:"down_hosts,omitempty"`
-	// Groups carries per-placement-group rollups when the daemon runs
-	// a sharded fleet (hered -fleet-groups > 1); empty otherwise.
-	Groups []FleetGroup `json:"groups,omitempty"`
+	// Groups carries one rollup row per placement group (one row for
+	// an unsharded fleet).
+	Groups []FleetGroup `json:"groups"`
 }
 
 // FleetGroup is one placement group's rollup row.
@@ -148,15 +148,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if gr, ok := s.m.(groupReporter); ok {
-		for _, g := range gr.GroupStatus() {
-			resp.Groups = append(resp.Groups, FleetGroup{
-				Group:       g.Group,
-				Protections: g.Protections,
-				Ticks:       g.Ticks,
-				LastTickMS:  float64(g.LastTick) / float64(time.Millisecond),
-			})
-		}
+	for _, g := range s.m.GroupStatus() {
+		resp.Groups = append(resp.Groups, FleetGroup{
+			Group:       g.Group,
+			Protections: g.Protections,
+			Ticks:       g.Ticks,
+			LastTickMS:  float64(g.LastTick) / float64(time.Millisecond),
+		})
 	}
 
 	switch {

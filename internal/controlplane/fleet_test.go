@@ -77,6 +77,9 @@ func TestFleetRollup(t *testing.T) {
 	if fl.VMs[0].Epoch == 0 || fl.VMs[0].Legs != 1 {
 		t.Fatalf("fleet vm progress: %+v", fl.VMs[0])
 	}
+	if len(fl.Groups) != 1 || fl.Groups[0].Protections != 1 || fl.Groups[0].Ticks != 3 {
+		t.Fatalf("fleet group rows = %+v, want one group with the protection and 3 ticks", fl.Groups)
+	}
 	if fl.VMs[0].LastFailover != nil {
 		t.Fatalf("premature last_failover: %+v", fl.VMs[0])
 	}

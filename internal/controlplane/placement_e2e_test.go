@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/here-ft/here/internal/chv"
+	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/orchestrator"
@@ -21,14 +22,14 @@ import (
 	"github.com/here-ft/here/internal/xen"
 )
 
-// newFlavorFleet builds a manager over any of the four backends:
+// newFlavorFleet builds a one-group fleet over any of the four backends:
 // 'x' Xen, 'k' kvmtool, 'q' QEMU-KVM, 'c' Cloud Hypervisor.
-func newFlavorFleet(t *testing.T, clock vclock.Clock, kinds string) (*orchestrator.Manager, []*hypervisor.Host) {
+func newFlavorFleet(t *testing.T, clock vclock.Clock, kinds string) (*fleet.Scheduler, []*hypervisor.Host) {
 	t.Helper()
-	m, err := orchestrator.New(orchestrator.Config{
+	m, err := fleet.New(fleet.Config{Orchestrator: orchestrator.Config{
 		Clock:   clock,
 		Metrics: trace.NewRegistry(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/journal"
 	"github.com/here-ft/here/internal/kvm"
@@ -22,7 +23,7 @@ import (
 )
 
 // addFleetHosts adds fresh hosts of the given kinds to m, all on clock.
-func addFleetHosts(t *testing.T, m *orchestrator.Manager, clock vclock.Clock, kinds string) []*hypervisor.Host {
+func addFleetHosts(t *testing.T, m *fleet.Scheduler, clock vclock.Clock, kinds string) []*hypervisor.Host {
 	t.Helper()
 	var hosts []*hypervisor.Host
 	for i, c := range kinds {
@@ -181,7 +182,7 @@ func TestShutdownWritesCleanSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := vclock.NewSim()
-	m, err := orchestrator.New(orchestrator.Config{Clock: clk, Journal: store})
+	m, err := fleet.New(fleet.Config{Orchestrator: orchestrator.Config{Clock: clk, Journal: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestShutdownWritesCleanSnapshot(t *testing.T) {
 		t.Fatalf("reopen after graceful shutdown = %+v, want a clean snapshot with no log replay", rep)
 	}
 
-	m2, err := orchestrator.New(orchestrator.Config{Clock: clk, Journal: store2})
+	m2, err := fleet.New(fleet.Config{Orchestrator: orchestrator.Config{Clock: clk, Journal: store2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,10 +29,9 @@ const (
 	DefaultRetryAfter     = 1 * time.Second
 )
 
-// Orchestrator is the fleet surface the control-plane API serves.
-// *orchestrator.Manager (a single group, the default) and
-// *fleet.Scheduler (sharded placement groups, hered -fleet-groups)
-// both satisfy it.
+// Orchestrator is the fleet surface the control-plane API serves:
+// *fleet.Scheduler's, with one placement group for an unsharded fleet.
+// It is an interface so tests can wrap the scheduler.
 type Orchestrator interface {
 	Protect(spec orchestrator.VMSpec) (*orchestrator.Protection, error)
 	Unprotect(name string) error
@@ -50,30 +48,17 @@ type Orchestrator interface {
 	PlacementMatrix() []placement.MatrixEntry
 	Metrics() *trace.Registry
 	Clock() vclock.Clock
-	Tick() error
-}
-
-// groupPumper is the optional sharded-fleet surface: when the
-// configured Orchestrator provides its own per-group pump goroutines
-// (jittered phases) the server delegates to them instead of running
-// the single Tick loop.
-type groupPumper interface {
 	StartPump(interval time.Duration, logf func(string, ...any))
 	StopPump()
 	Ticks() uint64
-}
-
-// groupReporter exposes per-placement-group rollups for /v1/fleet.
-type groupReporter interface {
 	GroupStatus() []fleet.GroupStatus
 }
 
 // Config parameterizes a control-plane server.
 type Config struct {
 	// Manager is the orchestrated fleet the API serves; required.
-	// The server drives its Tick pump; hosts may be added before or
-	// while serving. A *fleet.Scheduler here shards the fleet into
-	// placement groups with their own jittered pumps.
+	// The server starts and stops its per-group pumps; hosts may be
+	// added before or while serving.
 	Manager Orchestrator
 	// PumpInterval is the real-time interval between orchestration
 	// rounds (default 50 ms). Each round advances the fleet's virtual
@@ -101,9 +86,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server is hered's long-running control-plane daemon core: it owns
-// an orchestrator.Manager, pumps its virtual clock from a real-time
-// ticker, and serves the versioned JSON API. Construct with New,
+// Server is hered's long-running control-plane daemon core: it serves
+// the versioned JSON API over a fleet and starts and stops the fleet's
+// pump, which advances the virtual clock in real time. Construct with New,
 // start with ListenAndServe (or mount Handler on a test server and
 // call StartPump), stop with Shutdown.
 type Server struct {
@@ -114,13 +99,7 @@ type Server struct {
 
 	admitSem chan struct{}
 
-	ticks atomic.Uint64
 	ready atomic.Bool
-
-	pumpMu    sync.Mutex
-	pumpStop  chan struct{}
-	pumpDone  chan struct{}
-	fleetPump groupPumper // non-nil while a sharded fleet's pumps run
 }
 
 // New validates cfg, applies defaults and builds the server. The pump
@@ -155,17 +134,8 @@ func New(cfg Config) (*Server, error) {
 // timeouts) — what httptest servers should mount.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Ticks reports completed pump rounds (per-group rounds when a
-// sharded fleet's pumps are delegated).
-func (s *Server) Ticks() uint64 {
-	s.pumpMu.Lock()
-	fp := s.fleetPump
-	s.pumpMu.Unlock()
-	if fp != nil {
-		return fp.Ticks()
-	}
-	return s.ticks.Load()
-}
+// Ticks reports completed pump rounds, one per group round.
+func (s *Server) Ticks() uint64 { return s.m.Ticks() }
 
 // Ready reports whether the server admits traffic (pump running, not
 // draining).
@@ -248,63 +218,12 @@ func (s *Server) logged(h http.Handler) http.Handler {
 	})
 }
 
-// StartPump launches the orchestration pump: a real-time ticker that
-// runs one Manager.Tick per interval, advancing the fleet's virtual
-// clock. A sharded fleet (an Orchestrator providing its own pumps)
-// gets them delegated instead — one jitter-phased goroutine per
-// placement group. Idempotent while running.
+// StartPump starts the fleet's pump — one goroutine per placement
+// group, phase-shifted across the interval — and marks the server
+// ready. Idempotent while running.
 func (s *Server) StartPump() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	if s.pumpStop != nil || s.fleetPump != nil {
-		return
-	}
-	if fp, ok := s.m.(groupPumper); ok {
-		s.fleetPump = fp
-		fp.StartPump(s.cfg.PumpInterval, s.cfg.Logf)
-		s.ready.Store(true)
-		return
-	}
-	s.pumpStop = make(chan struct{})
-	s.pumpDone = make(chan struct{})
-	go s.pump(s.pumpStop, s.pumpDone)
+	s.m.StartPump(s.cfg.PumpInterval, s.cfg.Logf)
 	s.ready.Store(true)
-}
-
-func (s *Server) pump(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(s.cfg.PumpInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if err := s.m.Tick(); err != nil {
-				s.logf("pump: %v", err)
-			}
-			s.ticks.Add(1)
-		}
-	}
-}
-
-// stopPump quiesces the pump: no new round starts, and the in-flight
-// round (if any) completes before it returns.
-func (s *Server) stopPump() {
-	s.pumpMu.Lock()
-	stop, done := s.pumpStop, s.pumpDone
-	fp := s.fleetPump
-	s.pumpStop, s.pumpDone, s.fleetPump = nil, nil, nil
-	s.pumpMu.Unlock()
-	if fp != nil {
-		fp.StopPump()
-		return
-	}
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }
 
 // ListenAndServe starts the pump and serves the API on addr, blocking
@@ -337,7 +256,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // after SIGTERM recovers from the snapshot alone with no log replay.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	s.stopPump()
+	s.m.StopPump()
 	err := s.httpSrv.Shutdown(ctx)
 	if s.cfg.Journal != nil {
 		// Every mutating request has drained by now; nothing appends

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/here-ft/here/internal/faults"
+	"github.com/here-ft/here/internal/fleet"
 	"github.com/here-ft/here/internal/hypervisor"
 	"github.com/here-ft/here/internal/kvm"
 	"github.com/here-ft/here/internal/memory"
@@ -23,14 +24,14 @@ import (
 	"github.com/here-ft/here/internal/xen"
 )
 
-// newFleet builds a manager with a metrics registry and the given host
+// newFleet builds a one-group fleet with a metrics registry and the given host
 // layout ("x" for Xen, "k" for KVM), all on clock.
-func newFleet(t *testing.T, clock vclock.Clock, kinds string) (*orchestrator.Manager, []*hypervisor.Host) {
+func newFleet(t *testing.T, clock vclock.Clock, kinds string) (*fleet.Scheduler, []*hypervisor.Host) {
 	t.Helper()
-	m, err := orchestrator.New(orchestrator.Config{
+	m, err := fleet.New(fleet.Config{Orchestrator: orchestrator.Config{
 		Clock:   clock,
 		Metrics: trace.NewRegistry(),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +57,9 @@ func newFleet(t *testing.T, clock vclock.Clock, kinds string) (*orchestrator.Man
 }
 
 // newTestServer mounts a Server on an httptest listener. The pump is
-// NOT started — tests that need rounds drive Manager.Tick directly (so
+// NOT started — tests that need rounds drive Scheduler.Tick directly (so
 // simulated time is deterministic) or call StartPump themselves.
-func newTestServer(t *testing.T, m *orchestrator.Manager, mutate func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, m *fleet.Scheduler, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{Manager: m, PumpInterval: 2 * time.Millisecond}
 	if mutate != nil {

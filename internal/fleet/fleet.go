@@ -9,8 +9,9 @@
 // and a global event sequencer whose frontier keeps the merged event
 // log monotone, gapless and duplicate-free.
 //
-// Scheduler presents the same surface as a single Manager — the
-// control-plane API is served unchanged — and every read it serves
+// Scheduler is the one fleet the control-plane daemon runs; one group
+// is the unsharded case. It routes the Manager surface to the groups,
+// and every read it serves
 // (Status, StatusAll, HostsStatus, events) comes from the groups'
 // RCU-published snapshots, so API handlers never wait behind a group's
 // in-flight checkpoint.
@@ -334,12 +335,10 @@ func (s *Scheduler) Ticks() uint64 { return s.rounds.Load() }
 // journal appends — spread across the interval instead of arriving in
 // lockstep. The offset keeps the group-commit batcher's flush window
 // absorbing genuine concurrency (appends from groups mid-round)
-// rather than synchronized bursts. logf, when non-nil, receives
-// per-group round errors. Idempotent until StopPump.
+// rather than synchronized bursts. interval must be positive
+// (controlplane.DefaultPumpInterval is the daemon's). logf, when
+// non-nil, receives per-group round errors. Idempotent until StopPump.
 func (s *Scheduler) StartPump(interval time.Duration, logf func(string, ...any)) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
 	if s.pumpStop != nil {
@@ -406,9 +405,34 @@ func (s *Scheduler) GroupStatus() []GroupStatus {
 	return out
 }
 
-// Recover rebuilds the sharded fleet from the journaled state. The
-// journal is shared, so the phases are coordinated across groups: the
-// state is captured ONCE; (1) every group resolves its pending
+// Recover rebuilds the fleet's protections from the journaled state —
+// the counterpart of the write-ahead records every mutating operation
+// appends — and is the one recovery entry point. It must run on a
+// freshly built Scheduler (hosts added, no protections) whose
+// Config.Orchestrator.Journal replayed the previous lifetime's
+// snapshot + log.
+//
+// Recovery establishes a new fencing generation strictly above
+// everything the previous lifetime minted — so a pre-crash primary
+// that raced a failover can never be re-activated — then brings each
+// journaled protection back by the cheapest safe path:
+//
+//   - an unresolved activation intent is resolved by probing the
+//     target host for the activated replica (completed → commit it,
+//     never started → void under the new fence);
+//   - a live VM on the journaled primary with a replica deposit on the
+//     journaled secondary resumes replication in degraded mode — the
+//     next cycle ships a delta resync from the acked epoch, not a full
+//     re-seed;
+//   - a live VM without a usable deposit re-seeds;
+//   - a missing VM (the hosts restarted too) is recreated from the
+//     journaled spec, preserving its generation;
+//   - a dead primary with a surviving deposit is failed over from the
+//     deposit, exactly as if the failure had been detected live;
+//   - anything else is service-lost.
+//
+// The journal is shared, so the phases are coordinated across groups:
+// the state is captured ONCE; (1) every group resolves its pending
 // activation intents against that same capture; (2) exactly one group
 // appends the fence record establishing the new generation (the guard
 // is shared, so it covers all groups); (3) each group recovers its

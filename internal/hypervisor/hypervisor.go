@@ -383,8 +383,11 @@ func (v *VM) CaptureState() (arch.MachineState, error) {
 	st.Timers.SystemTimeNS = uint64(now.UnixNano())
 	st.Timers.WallClockSec = uint64(now.Unix())
 	st.Timers.WallClockNSec = uint32(now.Nanosecond())
+	// ns × hz / 1e9, split at the second so no product overflows.
+	ns, hz := uint64(now.UnixNano()), st.Timers.TSCFrequencyHz
+	tsc := ns/1e9*hz + ns%1e9*hz/1e9
 	for i := range st.VCPUs {
-		st.VCPUs[i].TSC = uint64(now.UnixNano()) * (st.Timers.TSCFrequencyHz / 1e9)
+		st.VCPUs[i].TSC = tsc
 	}
 	return st, nil
 }

@@ -2,7 +2,9 @@ package hypervisor_test
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"github.com/here-ft/here/internal/arch"
 	"github.com/here-ft/here/internal/hypervisor"
@@ -342,5 +344,42 @@ func TestHealthStateString(t *testing.T) {
 	}
 	if hypervisor.HealthState(42).String() == "" {
 		t.Error("unknown state must still render")
+	}
+}
+
+// TestCaptureStateTSCAdvancesAtItsFrequency: over one virtual second a
+// guest's captured TSC advances by its frequency, to 1 ppm — at the
+// boot rate and at a rate below 1 GHz.
+func TestCaptureStateTSCAdvancesAtItsFrequency(t *testing.T) {
+	for _, hz := range []uint64{2_100_000_000, 800_000_000} {
+		h, clk := newXen(t)
+		booted, err := h.CreateVM(basicCfg("boot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted.Pause()
+		st, err := booted.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Timers.TSCFrequencyHz = hz
+		vm, err := h.RestoreVM(basicCfg("vm"), st, booted.Memory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tsc := func() uint64 {
+			t.Helper()
+			st, err := vm.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.VCPUs[0].TSC
+		}
+		before := tsc()
+		clk.Advance(time.Second)
+		got := tsc() - before
+		if diff := math.Abs(float64(got) - float64(hz)); diff > float64(hz)/1e6 {
+			t.Errorf("%d Hz: TSC advanced %d ticks in one second, want %d ± 1 ppm", hz, got, hz)
+		}
 	}
 }

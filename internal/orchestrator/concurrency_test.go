@@ -120,7 +120,7 @@ func TestConcurrentAPIUnderTick(t *testing.T) {
 	if n := len(m.Protections()); n != 0 {
 		t.Fatalf("%d protections left after churn", n)
 	}
-	if m.LastEventSeq() == 0 {
+	if len(m.EventsSince(0)) == 0 {
 		t.Fatal("no events recorded by the churn")
 	}
 }

@@ -128,17 +128,15 @@ type Config struct {
 	// target the control plane exposes on /metrics. Nil leaves each
 	// replicator on a private registry.
 	Metrics *trace.Registry
-	// NoTrace disables the per-protection epoch tracer.
+	// NoTrace disables the per-protection epoch tracer. A tracer's
+	// ring holds trace.DefaultCapacity events: at most 1 MiB, grown in
+	// 147-event (9.25 KiB) chunks as it records.
 	NoTrace bool
-	// TraceCapacity bounds each protection's trace ring (default
-	// 16384 events): at most TraceCapacity × 64 B, 1 MiB at the
-	// default, grown in 147-event (9.25 KiB) chunks as it records.
-	TraceCapacity int
 	// Journal, when set, makes the control plane crash-recoverable:
 	// every mutating operation appends a write-ahead record before
-	// acknowledging, and Recover rebuilds the fleet's protections from
-	// the journaled state after a restart. Nil keeps everything
-	// in-memory (library use).
+	// acknowledging, and fleet.Scheduler.Recover rebuilds the fleet's
+	// protections from the journaled state after a restart. Nil keeps
+	// everything in-memory (library use).
 	Journal *journal.Store
 	// Guard, when set, is a shared fencing gate: the fleet scheduler
 	// hands the same guard to every placement group so activation
@@ -353,7 +351,7 @@ func (m *Manager) newTracer() *trace.Tracer {
 	if m.cfg.NoTrace {
 		return nil
 	}
-	tr := trace.New(m.cfg.Clock, m.cfg.TraceCapacity)
+	tr := trace.New(m.cfg.Clock, 0)
 	tr.Instrument(m.cfg.Metrics)
 	return tr
 }
@@ -432,7 +430,7 @@ type Manager struct {
 	cfg Config
 
 	// guard is the daemon-wide fencing gate every activation goes
-	// through; Recover advances it past the journaled fence so tokens
+	// through; recovery advances it past the journaled fence so tokens
 	// minted before a crash can never activate after the restart.
 	guard *failover.Guard
 
@@ -639,13 +637,6 @@ func (m *Manager) hostByName(name string) *hypervisor.Host {
 	return nil
 }
 
-// Clock returns the clock driving the fleet.
-func (m *Manager) Clock() vclock.Clock { return m.cfg.Clock }
-
-// Metrics returns the fleet-wide metrics registry (nil unless
-// configured).
-func (m *Manager) Metrics() *trace.Registry { return m.cfg.Metrics }
-
 // AddHost registers a host with the fleet.
 func (m *Manager) AddHost(h *hypervisor.Host) error {
 	if h == nil {
@@ -795,12 +786,6 @@ func (m *Manager) EventsSince(seq uint64) []Event {
 		return nil
 	}
 	return append([]Event(nil), evs[i:]...)
-}
-
-// LastEventSeq reports the sequence number of the newest event (0 when
-// the log is empty). Lock-free.
-func (m *Manager) LastEventSeq() uint64 {
-	return m.lastSeq.Load()
 }
 
 // Protect boots spec on the planner's primary, pairs it with

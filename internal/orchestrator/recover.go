@@ -41,58 +41,10 @@ type RecoverReport struct {
 	Lost int
 }
 
-// Recover rebuilds the fleet's protections from the journaled state:
-// the counterpart of the write-ahead records every mutating operation
-// appends. It must run on a freshly constructed Manager (hosts added,
-// no protections) whose Config.Journal replayed the previous
-// lifetime's snapshot + log.
-//
-// Recovery establishes a new fencing generation strictly above
-// everything the previous lifetime minted — so a pre-crash primary
-// that raced a failover can never be re-activated — then brings each
-// journaled protection back by the cheapest safe path:
-//
-//   - an unresolved activation intent is resolved by probing the
-//     target host for the activated replica (completed → commit it,
-//     never started → void under the new fence);
-//   - a live VM on the journaled primary with a replica deposit on the
-//     journaled secondary resumes replication in degraded mode — the
-//     next cycle ships a delta resync from the acked epoch, not a full
-//     re-seed;
-//   - a live VM without a usable deposit re-seeds;
-//   - a missing VM (the hosts restarted too) is recreated from the
-//     journaled spec, preserving its generation;
-//   - a dead primary with a surviving deposit is failed over from the
-//     deposit, exactly as if the failure had been detected live;
-//   - anything else is service-lost.
-func (m *Manager) Recover() (RecoverReport, error) {
-	var rep RecoverReport
-	if m.cfg.Journal == nil {
-		return rep, errors.New("orchestrator: recover without a journal")
-	}
-	m.mu.Lock()
-	dirty := len(m.prots) > 0
-	m.mu.Unlock()
-	if dirty {
-		return rep, errors.New("orchestrator: recover on a manager that already has protections")
-	}
-	st := m.cfg.Journal.State()
-	if err := m.ResolveIntents(&st); err != nil {
-		return rep, err
-	}
-	fence, err := m.FenceRecovery(&st)
-	if err != nil {
-		return rep, err
-	}
-	rep, err = m.RecoverProtections(&st)
-	rep.Fence = fence
-	return rep, err
-}
-
 // adoptWatermarks raises the event sequencer and fencing guard to the
 // journaled watermarks. Idempotent, so each recovery phase can call it
-// (a sharded fleet runs the phases on different groups). Caller holds
-// m.mu.
+// (fleet.Scheduler.Recover runs the phases on different groups).
+// Caller holds m.mu.
 func (m *Manager) adoptWatermarks(st *journal.State) {
 	m.seq.Advance(st.EventSeq)
 	if st.EventSeq > m.lastSeq.Load() {

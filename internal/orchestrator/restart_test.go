@@ -123,10 +123,23 @@ func (h *crashHarness) kill() {
 	h.m, h.store = nil, nil
 }
 
+// recoverAll runs the three recovery phases fleet.Scheduler.Recover
+// coordinates across groups on one unsharded manager.
+func recoverAll(m *Manager) (RecoverReport, error) {
+	st := m.cfg.Journal.State()
+	if err := m.ResolveIntents(&st); err != nil {
+		return RecoverReport{}, err
+	}
+	if _, err := m.FenceRecovery(&st); err != nil {
+		return RecoverReport{}, err
+	}
+	return m.RecoverProtections(&st)
+}
+
 func (h *crashHarness) restart() (journal.Report, RecoverReport) {
 	h.t.Helper()
 	jrep := h.boot()
-	rec, err := h.m.Recover()
+	rec, err := recoverAll(h.m)
 	if err != nil {
 		h.t.Fatalf("Recover: %v", err)
 	}

@@ -153,7 +153,7 @@ func (s *sweep) scenario() []sweepStep {
 			primary.Fail(hypervisor.Crashed, "sweep: host lost with the daemon")
 			s.h.boot()
 			s.arm()
-			_, err := m().Recover()
+			_, err := recoverAll(m())
 			return err
 		}},
 		{"unprotect", func() error { return m().Unprotect(s.last) }},
@@ -297,7 +297,7 @@ func crashRun(t *testing.T, fl sweepFleet, pt sweepPoint, tailLost bool) {
 	}
 	h.boot()
 	durable := h.store.State()
-	rec, err := h.m.Recover()
+	rec, err := recoverAll(h.m)
 	if err != nil {
 		t.Fatalf("%s (tailLost=%v): Recover: %v", pt, tailLost, err)
 	}

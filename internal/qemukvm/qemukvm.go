@@ -17,9 +17,10 @@ import (
 	"github.com/here-ft/here/internal/vulns"
 )
 
-// Product is the simulated product string. exploit.ProductOf
-// recognizes the "QEMU" substring and attributes QEMU component
-// vulnerabilities to hosts running it.
+// Product is the simulated product string. The vulnerability model
+// reads the flavor, not this string: exploit.ProductOf maps
+// vulns.FlavorQEMUKVM to vulns.QEMUKVM, so QEMU component
+// vulnerabilities apply to hosts running it.
 const Product = "QEMU-KVM 6.2"
 
 // Backend is the name this package registers under in the hypervisor

@@ -42,6 +42,19 @@ var flavorComponents = map[Flavor][]Component{
 	FlavorCHV:     {CompKVMCore, CompCHV},
 }
 
+// flavorProducts maps each deployment flavor to the product family
+// whose Table 1 rows it runs: cloud-hypervisor runs the KVM core.
+var flavorProducts = map[Flavor]Product{
+	FlavorXen:     Xen,
+	FlavorKVM:     KVM,
+	FlavorQEMUKVM: QEMUKVM,
+	FlavorCHV:     KVM,
+}
+
+// Product reports the product family of this deployment in the
+// vulnerability study.
+func (f Flavor) Product() Product { return flavorProducts[f] }
+
 // Flavors lists the known deployment flavors, sorted.
 func Flavors() []Flavor {
 	out := make([]Flavor, 0, len(flavorComponents))
