@@ -71,8 +71,11 @@ bench-trace-smoke:
 # journal, stores to 64 pages since the last checkpoint whatever the
 # guest's size), warm at 1 / 64 / 256 MiB (the fenced primary's copy is
 # converged from the dirty logs: ns/op and B/op must read flat) against
-# cold at 1 / 64 MiB (a full seed), ns/op, B/op and pages/op.
-# bench-reprotect-smoke runs each once, in `make check` and CI.
+# cold at 1 / 64 MiB (a full seed), ns/op, B/op and pages/op; plus
+# warm/1MiB/fsync and warm/1MiB/group-commit on a journal on the real
+# filesystem, without and with group commit. Every row reports
+# fsyncs/op and fails unless a failover issues exactly 2 (0 under
+# NoSync). bench-reprotect-smoke runs each once, in `make check` and CI.
 bench-reprotect:
 	$(GO) test -run '^$$' -bench Reprotect -benchmem ./internal/orchestrator
 

@@ -1,12 +1,15 @@
 package controlplane
 
 import (
+	"cmp"
 	"encoding/json"
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/here-ft/here/internal/orchestrator"
@@ -368,8 +371,10 @@ func writeVMStatus(w http.ResponseWriter, code int, st orchestrator.Status) {
 }
 
 // writeVMList answers all as the VMList collection, converting every
-// row into one reused VMStatus.
-func writeVMList(w http.ResponseWriter, all []orchestrator.Status) {
+// row into one reused VMStatus. The body is sized once, after its first
+// row, at the last list's size (held in size) or that row's times the
+// rows: growing a list of thousands of rows from small copies it over.
+func writeVMList(w http.ResponseWriter, all []orchestrator.Status, size *atomic.Int64) {
 	writeEncoded(w, http.StatusOK, func(buf []byte) ([]byte, error) {
 		buf = append(buf, `{"vms":[`...)
 		var v VMStatus
@@ -382,8 +387,14 @@ func writeVMList(w http.ResponseWriter, all []orchestrator.Status) {
 			if buf, err = appendVMStatus(buf, &v); err != nil {
 				return buf, err
 			}
+			if i == 0 {
+				est := cmp.Or(int(size.Load()), len(buf)*len(all))
+				buf = slices.Grow(buf, est+est/32)
+			}
 		}
-		return append(buf, "]}"...), nil
+		buf = append(buf, "]}"...)
+		size.Store(int64(len(buf)))
+		return buf, nil
 	})
 }
 

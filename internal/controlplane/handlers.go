@@ -189,7 +189,7 @@ func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) {
 
 // handleList serves GET /v1/vms: the VMList of every protection.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeVMList(w, s.m.StatusAll())
+	writeVMList(w, s.m.StatusAll(), &s.listSize)
 }
 
 // handleStatus serves GET /v1/vms/{name}.

@@ -99,7 +99,8 @@ type Server struct {
 
 	admitSem chan struct{}
 
-	ready atomic.Bool
+	ready    atomic.Bool
+	listSize atomic.Int64 // the last GET /v1/vms body's length
 }
 
 // New validates cfg, applies defaults and builds the server. The pump

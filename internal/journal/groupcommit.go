@@ -4,11 +4,10 @@ import "time"
 
 // flushWindow is the group-commit absorb window: long enough to let a
 // burst of concurrent appenders land in one batch. Every batch pays it,
-// a lone append included, and pays it as a time.Sleep, which overshoots
-// short sleeps: on a 2-vCPU Xeon VM a 200 µs sleep returns after
-// ≈ 1.07 ms at the median, and a group-commit append on bench/'s
-// tcp-fleet workload reads ≈ 1.25 ms at the median against ≈ 0.31 ms
-// without group commit.
+// a lone append included, as a time.Sleep that lasts ≈ 1 ms on Linux:
+// Go's netpoller rounds a timer shorter than a millisecond up to one
+// (runtime/netpoll_epoll.go). The tick's acks and the API's mutations
+// batch; the failure path, alone under its group's lock, calls Sync.
 const flushWindow = 200 * time.Microsecond
 
 // waitDurable blocks until every record with LSN <= lsn is on stable
@@ -41,34 +40,14 @@ func (s *Store) waitDurable(lsn uint64) error {
 		if w := s.window; w > 0 {
 			time.Sleep(w)
 		}
-		var err error
-		var target uint64
 		s.mu.Lock()
-		target = s.lsn
-		switch {
-		case s.closed:
-			err = ErrClosed
-		case s.opts.NoSync:
-			// Durability is explicitly waived; advance the watermark
-			// without touching the disk (tests, benches).
-		default:
-			err = s.wal.Sync()
-			if err == nil {
-				s.fsyncs.Add(1)
-			}
-		}
+		err := s.syncLocked()
 		s.mu.Unlock()
 
 		s.fmu.Lock()
 		s.flushing = false
-		if err != nil {
-			// After a failed fsync the kernel may have dropped the
-			// dirty pages; no later sync can prove these frames ever
-			// reached the platter. Fail every current and future
-			// waiter rather than pretend.
-			s.flushErr = err
-		} else if target > s.durableLSN {
-			s.durableLSN = target
+		if err != nil && s.flushErr == nil {
+			s.flushErr = err // ErrClosed, which no later flush can clear either
 		}
 		s.fcond.Broadcast()
 	}

@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -152,5 +154,101 @@ func TestGroupCommitSoloAppend(t *testing.T) {
 	}
 	if s.Fsyncs() != 1 {
 		t.Fatalf("Fsyncs = %d, want 1", s.Fsyncs())
+	}
+}
+
+// TestSyncIsOneFsyncWithoutTheWindow: Sync makes the records written
+// before it durable with one fsync and does not wait for a group-commit
+// window, so it costs the same with and without group commit; under
+// NoSync it issues none, as a waited Append would not.
+func TestSyncIsOneFsyncWithoutTheWindow(t *testing.T) {
+	for _, opts := range []Options{{}, {GroupCommit: true}, {NoSync: true}, {NoSync: true, GroupCommit: true}} {
+		s, _ := openT(t, t.TempDir(), opts)
+		s.window = time.Hour
+		for _, rec := range []Record{
+			{Kind: RecProtect, VM: "svc", Primary: "xen0", Secondary: "kvm0"},
+			{Kind: RecFenceIntent, VM: "svc", Generation: 1, Target: "kvm0", Fence: 1},
+		} {
+			if err := s.AppendNoWait(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := uint64(1)
+		if opts.NoSync {
+			want = 0
+		}
+		if err := s.Sync(); err != nil || s.Fsyncs() != want {
+			t.Fatalf("%+v: Sync = %v after %d fsyncs, want nil after %d", opts, err, s.Fsyncs(), want)
+		}
+		// The watermark covers both records.
+		s.fmu.Lock()
+		durable := s.durableLSN
+		s.fmu.Unlock()
+		if durable != 2 {
+			t.Fatalf("%+v: durable LSN %d after Sync, want 2", opts, durable)
+		}
+	}
+}
+
+// TestFailedFsyncIsSticky swaps the WAL for the write end of a pipe,
+// where writes succeed and fsync fails with EINVAL. Whichever path meets
+// the failure first — a plain Append, a group-commit Append or Sync —
+// returns it, and every later Append, AppendNoWait and Sync returns it
+// too, even once fsync works again: after a failed fsync no later one
+// can prove that the frames written before it reached the disk. The
+// failed Append's record is in the log, so it is in the state as well.
+func TestFailedFsyncIsSticky(t *testing.T) {
+	rec := Record{Kind: RecProtect, VM: "svc", Primary: "xen0", Secondary: "kvm0"}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		first func(*Store) error
+	}{
+		{"append", Options{}, func(s *Store) error { return s.Append(rec) }},
+		{"group-commit-append", Options{GroupCommit: true}, func(s *Store) error { return s.Append(rec) }},
+		{"sync", Options{}, func(s *Store) error {
+			if err := s.AppendNoWait(rec); err != nil {
+				return err
+			}
+			return s.Sync()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := openT(t, t.TempDir(), tc.opts)
+			s.window = 0
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			defer w.Close()
+			swap := func(f *os.File) *os.File {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				old := s.wal
+				s.wal = f
+				return old
+			}
+			file := swap(w)
+			if err := tc.first(s); !errors.Is(err, syscall.EINVAL) {
+				t.Fatalf("first call = %v, want the fsync's EINVAL", err)
+			}
+			if s.State().Protections["svc"] == nil {
+				t.Fatal("the record the failed call wrote is in the log but not in the state")
+			}
+			swap(file) // fsync works again
+			for name, call := range map[string]func() error{
+				"Append":       func() error { return s.Append(Record{Kind: RecFence, Fence: 1}) },
+				"AppendNoWait": func() error { return s.AppendNoWait(Record{Kind: RecFence, Fence: 2}) },
+				"Sync":         s.Sync,
+			} {
+				if err := call(); !errors.Is(err, syscall.EINVAL) {
+					t.Fatalf("%s after the failed fsync = %v, want the same EINVAL", name, err)
+				}
+			}
+			if s.Fsyncs() != 0 || s.LSN() != 1 {
+				t.Fatalf("%d fsyncs and LSN %d after the failure, want 0 and 1", s.Fsyncs(), s.LSN())
+			}
+		})
 	}
 }

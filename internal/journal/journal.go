@@ -688,24 +688,24 @@ func (s *Store) LogSize() int64 {
 	return s.walSize
 }
 
-// Append durably logs one record: frame, write, fsync (unless
-// NoSync), then fold it into the in-memory state. Crossing the
+// Append durably logs one record: frame, write, fold it into the
+// in-memory state, then fsync (unless NoSync). Crossing the
 // compaction threshold snapshots and rotates the log before returning.
 // With GroupCommit the fsync is deferred to a shared flush leader and
 // Append returns once a batched sync has covered its LSN.
 func (s *Store) Append(rec Record) error { return s.append(rec, true) }
 
 // AppendNoWait logs one record like Append but returns once the frame is
-// written, before it is durable: the next Append (or Sync) covers it,
-// and a machine crash before that may lose it, as a torn tail would. Only
-// for a record whose loss recovery already resolves.
+// written, before it is durable: the next Append or Sync covers it, and
+// a machine crash before that may lose it, as a torn tail would. A side
+// effect that depends on the record waits for that Sync.
 func (s *Store) AppendNoWait(rec Record) error { return s.append(rec, false) }
 
 func (s *Store) append(rec Record, wait bool) error {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	s.lsn++
 	rec.LSN = s.lsn
@@ -720,18 +720,19 @@ func (s *Store) append(rec Record, wait bool) error {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[frameHeader:], payload)
 	if _, err := s.wal.Write(frame); err != nil {
+		err = s.fail(fmt.Errorf("journal: append: %w", err)) // part of a frame may be in the log
 		s.mu.Unlock()
-		return fmt.Errorf("journal: append: %w", err)
+		return err
 	}
-	if wait && !s.opts.GroupCommit && !s.opts.NoSync {
-		if err := s.wal.Sync(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-		s.fsyncs.Add(1)
-	}
+	// The frame is in the log, durable or not: so is the record in the state.
 	s.walSize += int64(len(frame))
 	s.state.apply(rec)
+	if wait && (!s.opts.GroupCommit || s.opts.NoSync) { // no batch to wait for
+		if err := s.syncLocked(); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+	}
 	if s.compactAt > 0 && s.walSize > s.compactAt {
 		// The snapshot write below is itself synced, so the rotation
 		// leaves every appended record durable — group-commit waiters
@@ -740,14 +741,7 @@ func (s *Store) append(rec Record, wait bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	if wait && s.opts.GroupCommit {
-		if s.opts.NoSync {
-			// Nothing to batch without fsyncs: settle the LSN now
-			// instead of paying the flush window per append.
-			s.markDurable(s.lsn)
-			s.mu.Unlock()
-			return nil
-		}
+	if wait && s.opts.GroupCommit && !s.opts.NoSync {
 		lsn := s.lsn
 		s.mu.Unlock()
 		return s.waitDurable(lsn)
@@ -844,20 +838,50 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Sync forces the log to stable storage (used by NoSync stores at
-// quiesce points, e.g. graceful shutdown).
+// Sync makes every record appended so far, waited for or not, durable
+// with one fsync at once: no group-commit window, and no fsync under
+// NoSync, as for a waited Append. A failed fsync fails the store.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.syncLocked()
+}
+
+// syncLocked is Sync with s.mu held.
+func (s *Store) syncLocked() error {
+	if err := s.usableLocked(); err != nil {
+		return err
+	}
+	if !s.opts.NoSync {
+		if err := s.wal.Sync(); err != nil {
+			return s.fail(fmt.Errorf("journal: fsync: %w", err))
+		}
+		s.fsyncs.Add(1)
+	}
+	s.markDurable(s.lsn)
+	return nil
+}
+
+// usableLocked returns ErrClosed or the sticky error. Caller holds s.mu.
+func (s *Store) usableLocked() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.wal.Sync(); err != nil {
-		return err
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	return s.flushErr
+}
+
+// fail makes the first failed write or fsync sticky, the answer to every
+// later write, sync and wait: the kernel may have dropped the dirty
+// pages, so no later fsync proves the frames before it durable.
+func (s *Store) fail(err error) error {
+	s.fmu.Lock()
+	defer s.fmu.Unlock()
+	if s.flushErr == nil {
+		s.flushErr = err
 	}
-	s.fsyncs.Add(1)
-	s.markDurable(s.lsn)
-	return nil
+	return s.flushErr
 }
 
 // Fsyncs reports how many physical WAL fsyncs the store has issued

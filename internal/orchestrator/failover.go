@@ -61,15 +61,14 @@ type failoverDetail struct {
 // activate src on another hypervisor under a fresh fencing token, fence
 // the old primary's copy and re-protect the survivor.
 //
-// The intent is durable before any side effect. A token the guard
+// It syncs twice (journalSync): the intent before any side effect, then
+// RecFailover and the re-protect's chain, if a spare was found, before
+// it returns. Recovery commits an intent whose RecFailover a machine
+// crash lost by probing the target (resolveIntent). A token the guard
 // refuses was overtaken by another placement group's activation, so it
 // is re-minted. The old primary's copy is destroyed where its host still
 // runs, and kept for a warm re-protect when the retired leg was settled.
-// RecFailover is written, not waited for: the re-protect's durable
-// append, or else a sync, covers it before the sequence returns, and
-// recovery commits an intent whose RecFailover a machine crash lost by
-// probing the target (resolveIntent). The result's VM is nil when
-// nothing was activated. Caller holds m.mu.
+// The result's VM is nil when nothing was activated. Caller holds m.mu.
 func (m *Manager) failoverTo(p *Protection, src failoverSource, detail failoverDetail) (failover.Result, error) {
 	gen := p.Generation + 1
 	replicaName := fmt.Sprintf("%s-g%d", p.Name, gen)
@@ -81,7 +80,7 @@ func (m *Manager) failoverTo(p *Protection, src failoverSource, detail failoverD
 	)
 	for {
 		token = m.guard.Mint()
-		if err := m.journalAppend(journal.Record{
+		if err := m.journalSync(journal.Record{
 			Kind: journal.RecFenceIntent, VM: p.Name,
 			Generation: gen, Target: src.host.HostName(), Fence: token,
 		}); err != nil {
@@ -132,12 +131,9 @@ func (m *Manager) failoverTo(p *Protection, src failoverSource, detail failoverD
 	}, false); err != nil {
 		return res, err
 	}
-	err = m.tryReprotect(p, warm)
-	if j := m.cfg.Journal; err != nil && j != nil {
-		// No durable RecReprotect followed (no heterogeneous spare).
-		if serr := m.step("sync", "", j.Sync); serr != nil {
-			return res, serr
-		}
+	err = m.tryReprotect(p, warm, false)
+	if serr := m.journalSync(); serr != nil {
+		return res, serr
 	}
 	if err != nil && !errors.Is(err, ErrNoHeterogeneous) {
 		return res, err
@@ -179,8 +175,9 @@ type warmCopy struct {
 // heterogeneous secondaries and seeds replication again; a leg that
 // lands on warm's host is seeded warm. Until its seed returns that leg
 // is unseeded like any other and nothing is journaled: a crash mid-seed
-// recovers unprotected, then cold, as ever (DESIGN §11). Holds m.mu.
-func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
+// recovers unprotected, then cold, as ever (DESIGN §11). The chain's
+// record is waited for if wait (the failure path syncs it). Holds m.mu.
+func (m *Manager) tryReprotect(p *Protection, warm *warmCopy, wait bool) error {
 	primary, ok := p.primary.(*hypervisor.Host)
 	if !ok {
 		return fmt.Errorf("orchestrator: vm %q: unexpected host type", p.Name)
@@ -226,5 +223,5 @@ func (m *Manager) tryReprotect(p *Protection, warm *warmCopy) error {
 		detail += "; " + seed
 	}
 	m.record(EventReprotected, p.Name, detail)
-	return m.journalChain(p.Name, asn.Secondaries)
+	return m.journalWrite(chainRecord(p.Name, asn.Secondaries), wait)
 }

@@ -41,7 +41,7 @@ func recoverySeed(name string) int64 {
 func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recovery.Decision) (bool, error) {
 	clock := m.cfg.Clock
 	detected := clock.Now()
-	if err := m.journalAppend(journal.Record{
+	if err := m.journalSync(journal.Record{
 		Kind: journal.RecRebootIntent, VM: p.Name,
 		Target: host.HostName(), Generation: p.Generation,
 	}); err != nil {
@@ -54,13 +54,15 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 	for mach.Begin(clock.Now()) {
 		start := clock.Now()
 		var aerr error
-		switch dec {
-		case recovery.Unstarve:
-			// Starvation never took the hypervisor down: host recovery
-			// preserves RAM and the dirty logs, no reboot involved.
-			host.Recover()
-		default:
-			aerr = host.Microreboot()
+		if err := m.step("microreboot", "", func() error {
+			if dec != recovery.Unstarve {
+				aerr = host.Microreboot()
+			} else {
+				host.Recover() // starvation never took the hypervisor down: no reboot
+			}
+			return nil
+		}); err != nil {
+			return false, err
 		}
 		m.recAttempts.Inc()
 		outcome := "ok"
@@ -94,7 +96,7 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		return false, nil
 	}
 
-	if err := m.journalAppend(journal.Record{
+	if err := m.journalSync(journal.Record{
 		Kind: journal.RecRebooted, VM: p.Name, Target: host.HostName(),
 	}); err != nil {
 		return false, err
@@ -153,7 +155,7 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		m.record(EventMicrorebooted, p.Name, fmt.Sprintf(
 			"%s recovered in place (%s, %d attempt(s), %v); delta resync of %d page(s) from %s at epoch %d",
 			host.HostName(), dec, mach.Attempts(), elapsed, len(delta), depHost.HostName(), seq))
-		if err := m.journalChain(p.Name, []*hypervisor.Host{depHost}); err != nil {
+		if err := m.journalSync(chainRecord(p.Name, []*hypervisor.Host{depHost})); err != nil {
 			return true, err
 		}
 		// Complete the delta resync inside the recovery round: the
@@ -175,12 +177,16 @@ func (m *Manager) recoverInPlace(p *Protection, host *hypervisor.Host, dec recov
 		"%s recovered in place (%s, %d attempt(s), %v); no surviving deposit, re-pairing",
 		host.HostName(), dec, mach.Attempts(), elapsed))
 	p.acked = 0
-	if err := m.journalAppend(journal.Record{
+	if err := m.journalWrite(journal.Record{
 		Kind: journal.RecSecondaryLost, VM: p.Name,
-	}); err != nil {
+	}, false); err != nil {
 		return true, err
 	}
-	if err := m.tryReprotect(p, nil); err != nil && !errors.Is(err, ErrNoHeterogeneous) {
+	err := m.tryReprotect(p, nil, false)
+	if serr := m.journalSync(); serr != nil {
+		return true, serr
+	}
+	if err != nil && !errors.Is(err, ErrNoHeterogeneous) {
 		return true, err
 	}
 	return true, nil

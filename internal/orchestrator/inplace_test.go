@@ -276,8 +276,8 @@ func TestRestartResolvesInterruptedMicroreboot(t *testing.T) {
 		at     boundary
 		healed bool // the microreboot completed before the crash
 	}{
-		{"killed-at-intent", boundary{op: "append", kind: journal.RecRebootIntent, after: true}, false},
-		{"killed-after-reboot", boundary{op: "append", kind: journal.RecRebooted}, true},
+		{"killed-at-intent", boundary{op: "microreboot"}, false},
+		{"killed-after-reboot", boundary{op: "write", kind: journal.RecRebooted}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -558,7 +558,7 @@ func (m *Manager) Guard() *failover.Guard { return m.guard }
 // operation: before or after a journal write or a host side effect.
 type boundary struct {
 	// op is "append" (durable), "write" (not waited for), "sync",
-	// "activate", "destroy", "deposit" or "drop".
+	// "activate", "microreboot", "destroy", "deposit" or "drop".
 	op    string
 	kind  journal.RecordKind // the record an append or write logs
 	after bool
@@ -604,13 +604,24 @@ func (m *Manager) journalWrite(rec journal.Record, wait bool) error {
 	return m.step(op, rec.Kind, func() error { return write(rec) })
 }
 
-// journalChain durably records secs, leg order, as the replica chain of
-// the protection name. Caller holds m.mu.
-func (m *Manager) journalChain(name string, secs []*hypervisor.Host) error {
-	return m.journalAppend(journal.Record{
-		Kind: journal.RecReprotect, VM: name,
-		Secondaries: secondaryNames(secs),
-	})
+// journalSync writes recs un-waited, then syncs once: a durable point of
+// the failure path, which holds m.mu and so has no batch to wait for.
+func (m *Manager) journalSync(recs ...journal.Record) error {
+	for _, rec := range recs {
+		if err := m.journalWrite(rec, false); err != nil {
+			return err
+		}
+	}
+	if j := m.cfg.Journal; j != nil {
+		return m.step("sync", "", j.Sync)
+	}
+	return nil
+}
+
+// chainRecord records secs, leg order, as the replica chain of the
+// protection name.
+func chainRecord(name string, secs []*hypervisor.Host) journal.Record {
+	return journal.Record{Kind: journal.RecReprotect, VM: name, Secondaries: secondaryNames(secs)}
 }
 
 // destroyVM destroys a VM copy on h. Caller holds m.mu.
@@ -1441,7 +1452,7 @@ func (m *Manager) tickOne(p *Protection) error {
 	if p.rep == nil {
 		// Running unprotected (no secondary was available); try to
 		// find replicas now.
-		return m.tryReprotect(p, nil)
+		return m.tryReprotect(p, nil, true)
 	}
 	// Restore the chain to its requested width when a replacement host
 	// is available; the new leg seeds inside the next checkpoint pause.
@@ -1457,7 +1468,7 @@ func (m *Manager) tickOne(p *Protection) error {
 			// No replica left that a delta could build on: re-pair and
 			// re-seed from scratch.
 			m.dropSecondaries(p)
-			return m.tryReprotect(p, nil)
+			return m.tryReprotect(p, nil, true)
 		default:
 			return fmt.Errorf("orchestrator: vm %q: %w", p.Name, err)
 		}
@@ -1495,7 +1506,7 @@ func (m *Manager) pruneLegs(p *Protection) error {
 			detail = fmt.Sprintf("%s (%s)", st.Host, st.DeadCause)
 		}
 		m.record(EventSecondaryLost, p.Name, detail)
-		if err := m.journalChain(p.Name, p.secondaries); err != nil {
+		if err := m.journalAppend(chainRecord(p.Name, p.secondaries)); err != nil {
 			return err
 		}
 	}
@@ -1580,7 +1591,7 @@ func (m *Manager) topUpLegs(p *Protection) error {
 			m.dropReplica(h, p.Name)
 		}
 	}
-	return m.journalChain(p.Name, p.secondaries)
+	return m.journalAppend(chainRecord(p.Name, p.secondaries))
 }
 
 // ackCheckpoint records checkpoint progress after a successful cycle:
@@ -1620,7 +1631,7 @@ func (m *Manager) dropSecondaries(p *Protection) {
 	p.rep = nil
 	p.mon = nil
 	p.acked = 0
-	_ = m.journalAppend(journal.Record{Kind: journal.RecSecondaryLost, VM: p.Name})
+	_ = m.journalSync(journal.Record{Kind: journal.RecSecondaryLost, VM: p.Name})
 }
 
 // handleFailure answers a failed primary. The failure is detected via
@@ -1641,7 +1652,7 @@ func (m *Manager) handleFailure(p *Protection) error {
 	if dec == recovery.Failover && noTarget != nil {
 		p.lost = true
 		m.record(EventServiceLost, p.Name, "no healthy replica host")
-		_ = m.journalAppend(journal.Record{Kind: journal.RecLost, VM: p.Name})
+		_ = m.journalSync(journal.Record{Kind: journal.RecLost, VM: p.Name})
 		return ErrServiceLost
 	}
 	var detect time.Duration
@@ -1670,7 +1681,7 @@ func (m *Manager) handleFailure(p *Protection) error {
 			p.lost = true
 			m.record(EventServiceLost, p.Name,
 				"in-place recovery exhausted and no healthy replica host")
-			_ = m.journalAppend(journal.Record{Kind: journal.RecLost, VM: p.Name})
+			_ = m.journalSync(journal.Record{Kind: journal.RecLost, VM: p.Name})
 			return ErrServiceLost
 		}
 	}

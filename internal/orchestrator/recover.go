@@ -102,7 +102,7 @@ func (m *Manager) FenceRecovery(st *journal.State) (uint64, error) {
 	defer m.mu.Unlock()
 	m.adoptWatermarks(st)
 	fence := st.Fence + 1
-	if err := m.journalAppend(journal.Record{Kind: journal.RecFence, Fence: fence}); err != nil {
+	if err := m.journalSync(journal.Record{Kind: journal.RecFence, Fence: fence}); err != nil {
 		return 0, err
 	}
 	m.guard.Advance(fence)
@@ -162,7 +162,7 @@ func (m *Manager) resolveIntent(name string, jp *journal.Protection) error {
 	m.dropReplica(target, name)
 	m.record(EventRecovered, name,
 		fmt.Sprintf("crash-interrupted failover committed: %s runs on %s", replicaName, pending.Target))
-	return m.journalAppend(journal.Record{
+	return m.journalSync(journal.Record{
 		Kind: journal.RecFailover, VM: name,
 		Generation: pending.Generation, Primary: pending.Target,
 		VMName: replicaName, Fence: pending.Fence,
@@ -313,7 +313,7 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 				primary.HostName(), host.HostName(), seq))
 		if len(secondaries) > 1 || prot.want > 1 {
 			// The chain width is restored by the tick loop's top-up.
-			return m.journalChain(prot.Name, []*hypervisor.Host{host})
+			return m.journalAppend(chainRecord(prot.Name, []*hypervisor.Host{host}))
 		}
 		return nil
 	}
@@ -327,7 +327,7 @@ func (m *Manager) recoverAttach(prot *Protection, jp *journal.Protection,
 	m.record(EventRecovered, prot.Name,
 		fmt.Sprintf("re-seeded on %s -> %s (replica deposit lost)",
 			primary.HostName(), chainDetail(secondaries)))
-	return m.journalChain(prot.Name, secondaries)
+	return m.journalAppend(chainRecord(prot.Name, secondaries))
 }
 
 // resume re-attaches p on primary to the deposit dep parked on host; the
@@ -380,7 +380,7 @@ func (m *Manager) recoverRecreate(prot *Protection, jp *journal.Protection,
 	m.record(EventRecovered, prot.Name,
 		fmt.Sprintf("recreated %s on %s -> %s from the journaled spec",
 			jp.VMName, primary.HostName(), chainDetail(secondaries)))
-	return m.journalChain(prot.Name, secondaries)
+	return m.journalAppend(chainRecord(prot.Name, secondaries))
 }
 
 // recoverFailover handles a primary that died while the control plane
@@ -394,7 +394,7 @@ func (m *Manager) recoverFailover(prot *Protection, secondaries []*hypervisor.Ho
 		prot.lost = true
 		rep.Lost++
 		m.record(EventServiceLost, prot.Name, "primary died with the control plane; no replica deposit survived")
-		return m.journalAppend(journal.Record{Kind: journal.RecLost, VM: prot.Name})
+		return m.journalSync(journal.Record{Kind: journal.RecLost, VM: prot.Name})
 	}
 	res, err := m.failoverTo(prot, failoverSource{host: secondary, dep: &deposit, stale: secondaries}, failoverDetail{
 		resumed: "recovered from deposit: resumed %[1]s on %[2]s in %[3]v",
@@ -403,7 +403,7 @@ func (m *Manager) recoverFailover(prot *Protection, secondaries []*hypervisor.Ho
 		prot.lost = true
 		rep.Lost++
 		m.record(EventServiceLost, prot.Name, fmt.Sprintf("deposit activation failed: %v", err))
-		return m.journalAppend(journal.Record{Kind: journal.RecLost, VM: prot.Name})
+		return m.journalSync(journal.Record{Kind: journal.RecLost, VM: prot.Name})
 	}
 	if err != nil {
 		return err

@@ -377,7 +377,7 @@ func TestRestartResolvesInterruptedFailover(t *testing.T) {
 		at        boundary
 		committed bool // the replica activation survived the crash
 	}{
-		{"killed-before-activation", boundary{op: "append", kind: journal.RecFenceIntent, after: true}, false},
+		{"killed-before-activation", boundary{op: "sync", after: true}, false},
 		{"killed-after-activation", boundary{op: "activate", after: true}, true},
 	}
 	for _, tc := range cases {

@@ -27,12 +27,14 @@ import (
 // tickFailover is every boundary, in order, of a tick-detected failover
 // of a pair onto a healthy spare; TestCrashSweep checks the list.
 var tickFailover = []boundary{
-	{op: "append", kind: journal.RecFenceIntent}, {op: "append", kind: journal.RecFenceIntent, after: true},
+	{op: "write", kind: journal.RecFenceIntent}, {op: "write", kind: journal.RecFenceIntent, after: true},
+	{op: "sync"}, {op: "sync", after: true},
 	{op: "activate"}, {op: "activate", after: true},
 	{op: "drop"}, {op: "drop", after: true},
 	{op: "write", kind: journal.RecFailover}, {op: "write", kind: journal.RecFailover, after: true},
 	{op: "deposit"}, {op: "deposit", after: true},
-	{op: "append", kind: journal.RecReprotect}, {op: "append", kind: journal.RecReprotect, after: true},
+	{op: "write", kind: journal.RecReprotect}, {op: "write", kind: journal.RecReprotect, after: true},
+	{op: "sync"}, {op: "sync", after: true},
 }
 
 // sweepPoint is a boundary as the sweep enumerates it: the first one of
@@ -258,6 +260,9 @@ func TestCrashSweep(t *testing.T) {
 			if !found {
 				t.Fatalf("the tick's failover of %s reached %v, want %v in it", fl.last, crashFailover, tickFailover)
 			}
+			if err := intentFirst(rec.trail); err != nil {
+				t.Fatal(err)
+			}
 			for _, pt := range points {
 				for _, tailLost := range []bool{false, true} {
 					crashRun(t, fl, pt, tailLost)
@@ -275,6 +280,38 @@ func TestCrashSweep(t *testing.T) {
 	}
 	t.Logf("%d distinct boundaries (%d kinds, told apart by scenario step), %d crash runs: each with the journal tail kept and lost",
 		len(distinct), len(kinds), runs)
+}
+
+// intentFirst checks the order the failure path keeps: every activation,
+// and the first microreboot attempt of a ladder, comes right after the
+// sync that follows the write of its intent. It fails unless the trail
+// holds at least one of each.
+func intentFirst(trail []sweepPoint) error {
+	intents := map[string]journal.RecordKind{"activate": journal.RecFenceIntent, "microreboot": journal.RecRebootIntent}
+	seen := map[string]int{}
+	for i, pt := range trail {
+		kind := intents[pt.at.op]
+		if kind == "" || pt.at.after {
+			continue
+		}
+		seen[pt.at.op]++
+		j := i
+		for j > 0 && trail[j-1].at.op == pt.at.op { // the ladder's earlier attempts
+			j--
+		}
+		want := []sweepPoint{
+			{pt.step, boundary{op: "write", kind: kind}}, {pt.step, boundary{op: "write", kind: kind, after: true}},
+			{pt.step, boundary{op: "sync"}}, {pt.step, boundary{op: "sync", after: true}},
+		}
+		if j < len(want) || !slices.Equal(trail[j-len(want):j], want) {
+			return fmt.Errorf("%s follows %v, want %v", pt, trail[max(j-len(want), 0):j], want)
+		}
+	}
+	if seen["activate"] == 0 || seen["microreboot"] == 0 {
+		return fmt.Errorf("the scenario reached %d activations and %d microreboots, want some of each",
+			seen["activate"], seen["microreboot"])
+	}
+	return nil
 }
 
 // crashRun replays the scenario up to pt, kills the daemon there
@@ -320,6 +357,11 @@ func crashRun(t *testing.T, fl sweepFleet, pt sweepPoint, tailLost bool) {
 	if err := h.m.Tick(); err != nil {
 		fail("Tick after Recover: %v", err)
 	}
+	// Killed between the write of a forced failover's intent and its sync,
+	// with the primary healthy: whether the intent survived or not,
+	// nothing was activated and recovery activates nothing.
+	unsynced := pt.step == "forced failover" &&
+		(pt.at == boundary{op: "write", kind: journal.RecFenceIntent, after: true} || pt.at == boundary{op: "sync"})
 	var healthy []*hypervisor.Host
 	for _, host := range h.hosts {
 		if host.Health() == hypervisor.Healthy {
@@ -334,6 +376,10 @@ func crashRun(t *testing.T, fl sweepFleet, pt sweepPoint, tailLost bool) {
 		}
 		if jp := durable.Protections[st.Name]; jp != nil && st.Generation < jp.Generation {
 			fail("%s generation %d, below the journaled %d", st.Name, st.Generation, jp.Generation)
+		}
+		if prev := s.before[st.Name]; unsynced && (st.Generation != prev.Generation || st.Primary.Name != prev.Primary.Name) {
+			fail("%s runs generation %d on %s, want %d on %s: an intent killed before its sync activated nothing",
+				st.Name, st.Generation, st.Primary.Name, prev.Generation, prev.Primary.Name)
 		}
 		if st.Mode == ModeLost {
 			if host, _, ok := bestDeposit(st.Name, healthy); ok {
@@ -368,7 +414,7 @@ func TestFailoverRemintsAFencedToken(t *testing.T) {
 			st0 := h.status("vm")
 			raced := false
 			h.m.crashHook = func(b boundary) error {
-				if !raced && b == (boundary{op: "append", kind: journal.RecFenceIntent, after: true}) {
+				if !raced && b == (boundary{op: "sync", after: true}) {
 					raced = true
 					return h.m.Guard().Admit(h.m.Guard().Mint())
 				}

@@ -361,7 +361,7 @@ func TestWarmReprotectFallsBackCold(t *testing.T) {
 				if err := p.vm.Memory().CopyPagesTo(p.vm.Memory().PopulatedList(), stale); err != nil {
 					return err
 				}
-				return r.m.tryReprotect(p, &warmCopy{host: r.hosts[2], mem: stale})
+				return r.m.tryReprotect(p, &warmCopy{host: r.hosts[2], mem: stale}, true)
 			},
 			events: []EventKind{EventProtected, EventSecondaryLost, EventReprotected}},
 		{name: "session degraded", kinds: "xk", tcp: true, arrange: func(r *warmRig, p *Protection) {
@@ -588,22 +588,31 @@ func TestMicrorebootResyncSeesPagesOnlyTheDepositHolds(t *testing.T) {
 }
 
 // BenchmarkReprotect times one forced failover — activation, fence and
-// re-protect — of a fully populated guest on simnet links with a NoSync
-// journal, after stores to the same 64 pages' worth of guest since the
-// last acknowledged checkpoint whatever its size. warm reverses the pair
-// and must read flat from 1 MiB to 256 MiB, in ns/op and B/op: it finds
-// what to ship in the dirty logs and compares no content. cold is the
-// same call with the fenced copy removed behind the manager's back: a
-// full seed, O(guest).
+// re-protect — of a fully populated guest on simnet links, after stores
+// to the same 64 pages' worth of guest since the last acknowledged
+// checkpoint whatever its size. warm reverses the pair and must read flat
+// from 1 MiB to 256 MiB, in ns/op and B/op: it finds what to ship in the
+// dirty logs and compares no content. cold is the same call with the
+// fenced copy removed behind the manager's back: a full seed, O(guest).
+// These rows run on a NoSync journal. The warm/1MiB/fsync and
+// warm/1MiB/group-commit rows price the journal too: a real-filesystem
+// WAL without and with group commit. Every row reports fsyncs/op and
+// fails unless a failover issues exactly two — one for its intent, one
+// for its commit and re-protect — or none under NoSync.
 func BenchmarkReprotect(b *testing.B) {
 	const dirty = 64
 	for _, row := range []struct {
-		kind string
-		mib  int
-	}{{"warm", 1}, {"warm", 64}, {"warm", 256}, {"cold", 1}, {"cold", 64}} {
+		kind, wal string
+		mib       int
+	}{{"warm", "", 1}, {"warm", "", 64}, {"warm", "", 256}, {"cold", "", 1}, {"cold", "", 64},
+		{"warm", "fsync", 1}, {"warm", "group-commit", 1}} {
 		kind, mib := row.kind, row.mib
-		b.Run(fmt.Sprintf("%s/%dMiB", kind, mib), func(b *testing.B) {
-			store, _, err := journal.Open(b.TempDir(), journal.Options{NoSync: true})
+		name, opts, wantFsyncs := fmt.Sprintf("%s/%dMiB", kind, mib), journal.Options{NoSync: true}, 0
+		if row.wal != "" {
+			name, opts, wantFsyncs = name+"/"+row.wal, journal.Options{GroupCommit: row.wal == "group-commit"}, 2
+		}
+		b.Run(name, func(b *testing.B) {
+			store, _, err := journal.Open(b.TempDir(), opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -617,6 +626,7 @@ func BenchmarkReprotect(b *testing.B) {
 			r.tick()
 			b.ReportAllocs()
 			var shipped int64
+			var fsyncs uint64
 			for i := 0; b.Loop(); i++ {
 				b.StopTimer()
 				for k := 0; k < dirty; k++ {
@@ -628,9 +638,11 @@ func BenchmarkReprotect(b *testing.B) {
 					}
 				}
 				b.StartTimer()
+				f0 := store.Fsyncs()
 				if _, err := r.m.Failover("vm"); err != nil {
 					b.Fatal(err)
 				}
+				fsyncs += store.Fsyncs() - f0
 				b.StopTimer()
 				shipped += r.status("vm").Totals.PagesSent
 				r.tick()
@@ -639,6 +651,10 @@ func BenchmarkReprotect(b *testing.B) {
 			b.StopTimer()
 			r.converged(p, "after the last re-protect")
 			b.ReportMetric(float64(shipped)/float64(b.N), "pages/op")
+			b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/op")
+			if fsyncs != uint64(wantFsyncs*b.N) {
+				b.Fatalf("%d fsyncs in %d failovers, want %d each", fsyncs, b.N, wantFsyncs)
+			}
 			if want := `here_reprotect_seeds_total{seed="` + kind + `"}`; r.counter(want) != int64(b.N) {
 				b.Fatalf("%s = %d after %d failovers", want, r.counter(want), b.N)
 			}
